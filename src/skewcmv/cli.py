@@ -384,7 +384,6 @@ def _task_restriction_check(cfg: ExperimentConfig, rng):
     p = cfg.params
     instances = int(p.get("instances", 40))
     tol = float(p.get("tolerance", 1e-8))
-    reading = p.get("reading", "derived")
     rows = []
     failures = 0
     parities = [(8, 24), (9, 25), (8, 25), (9, 24)]
@@ -401,13 +400,13 @@ def _task_restriction_check(cfg: ExperimentConfig, rng):
         pick = int(np.argmax(dists))
         z, v = complex(vals[pick]), vecs[:, pick]
         psi = v[a - 1 : b + 2]
-        resid = restriction_residual(inner, z, psi, reading=reading)
+        resid = restriction_residual(inner, z, psi)
         ok = resid < tol
         failures += 0 if ok else 1
         rows.append(
             {"instance": i, "a": a, "b": b,
              "parity": f"{'e' if a % 2 == 0 else 'o'}{'e' if b % 2 == 0 else 'o'}",
-             "dist": float(dists[pick]), "residual": resid, "reading": reading, "ok": int(ok)}
+             "dist": float(dists[pick]), "residual": resid, "ok": int(ok)}
         )
     return rows, failures, f"{instances} instances, {failures} failures"
 

@@ -24,8 +24,6 @@ __all__ = [
     "SolutionError",
     "GreenMatrix",
     "DecayFit",
-    "DECAY_PROFILE_FIELDS",
-    "decay_profile_row",
     "DavisSimonGap",
     "TildeBoundaryValues",
     "green_matrix",
@@ -174,22 +172,6 @@ def green_decay_fit(g: GreenMatrix, floor: float = 1e-300, max_distance: int | N
     return DecayFit(rate=float(-slope), intercept=float(intercept), r2=float(r2))
 
 
-DECAY_PROFILE_FIELDS = ("windowSize", "z_re", "z_im", "rate", "intercept", "r2", "L_ref")
-
-
-def decay_profile_row(g: GreenMatrix, fit: DecayFit, L_ref: float) -> dict:
-    """One decay-profile record in the fixed CSV column order."""
-    return {
-        "windowSize": g.window.size,
-        "z_re": g.z.real,
-        "z_im": g.z.imag,
-        "rate": fit.rate,
-        "intercept": fit.intercept,
-        "r2": fit.r2,
-        "L_ref": float(L_ref),
-    }
-
-
 @dataclass(frozen=True)
 class DavisSimonGap:
     product: float
@@ -234,65 +216,40 @@ class TildeBoundaryValues:
     at_b: complex
     parity_a: str
     parity_b: str
-    reading: str
 
 
-def tilde_boundary_values(
-    window: CMVWindow, z: complex, psi_a, psi_a1, psi_b, psi_b1, reading: str = "derived"
-) -> TildeBoundaryValues:
+def tilde_boundary_values(window: CMVWindow, z: complex, psi_a, psi_a1, psi_b, psi_b1) -> TildeBoundaryValues:
     """Boundary values from psi at the endpoint pairs (a, a+1) and (b, b-1).
 
-    reading = "derived" uses the formulas obtained from the window
-    factorization (these pass the forward-solve oracle at machine precision):
+    The formulas come from the window factorization and pass the forward-solve
+    oracle at machine precision:
 
         a even:  (z alpha_a + beta) psi(a) + z rho_a psi(a+1)
         a odd:   (-z conj(beta) - conj(alpha_a)) psi(a) - rho_a psi(a+1)
         b even:  (z gamma + alpha_{b-1}) psi(b) - rho_{b-1} psi(b-1)
         b odd:   (-z conj(alpha_{b-1}) - conj(gamma)) psi(b) + z rho_{b-1} psi(b-1)
-
-    reading = "display" is the literal parity-cased variant with the roles of
-    the endpoint coefficient and boundary value exchanged (and rho_b in the
-    even-b branch); reading = "display-alt" is the same with rho_{b-1} in the
-    even-b branch.  Both literal variants are kept so the oracle can record
-    which readings reproduce restricted solutions.
     """
     z = complex(z)
     a, b = window.a, window.b
     beta, gamma = window.beta, window.gamma
     alpha_a = window.raw_alpha(a)
     rho_a = window.raw_rho(a)
-    alpha_b = window.raw_alpha(b)
     alpha_bm1 = window.raw_alpha(b - 1)
-    rho_b = window.raw_rho(b)
     rho_bm1 = window.raw_rho(b - 1)
 
-    if reading == "derived":
-        if a % 2 == 0:
-            va = (z * alpha_a + beta) * psi_a + z * rho_a * psi_a1
-        else:
-            va = (-z * np.conj(beta) - np.conj(alpha_a)) * psi_a - rho_a * psi_a1
-        if b % 2 == 0:
-            vb = (z * gamma + alpha_bm1) * psi_b - rho_bm1 * psi_b1
-        else:
-            vb = (-z * np.conj(alpha_bm1) - np.conj(gamma)) * psi_b + z * rho_bm1 * psi_b1
-    elif reading in ("display", "display-alt"):
-        if a % 2 == 0:
-            va = (z * np.conj(beta) - alpha_a) * psi_a - rho_a * psi_a1
-        else:
-            va = (z * alpha_a - beta) * psi_a + z * rho_a * psi_a1
-        rho_even_b = rho_b if reading == "display" else rho_bm1
-        if b % 2 == 0:
-            vb = (z * np.conj(gamma) - alpha_b) * psi_b - rho_even_b * psi_b1
-        else:
-            vb = (z * alpha_b - gamma) * psi_b + z * rho_bm1 * psi_b1
+    if a % 2 == 0:
+        va = (z * alpha_a + beta) * psi_a + z * rho_a * psi_a1
     else:
-        raise ValueError(f"unknown reading {reading!r}")
+        va = (-z * np.conj(beta) - np.conj(alpha_a)) * psi_a - rho_a * psi_a1
+    if b % 2 == 0:
+        vb = (z * gamma + alpha_bm1) * psi_b - rho_bm1 * psi_b1
+    else:
+        vb = (-z * np.conj(alpha_bm1) - np.conj(gamma)) * psi_b + z * rho_bm1 * psi_b1
     return TildeBoundaryValues(
         at_a=complex(va),
         at_b=complex(vb),
         parity_a="even" if a % 2 == 0 else "odd",
         parity_b="even" if b % 2 == 0 else "odd",
-        reading=reading,
     )
 
 
@@ -316,13 +273,7 @@ def _check_eigen_sequence(window: CMVWindow, z: complex, psi: np.ndarray, tol: f
         raise SolutionError(f"eigen-equation residual {worst:.3e} > {tol:.0e} on the interior")
 
 
-def restriction_residual(
-    window: CMVWindow,
-    z: complex,
-    psi: np.ndarray,
-    reading: str = "derived",
-    eigen_tol: float = 1e-10,
-) -> float:
+def restriction_residual(window: CMVWindow, z: complex, psi: np.ndarray, eigen_tol: float = 1e-10) -> float:
     """Worst interior defect of psi(n) = G(n,a) psi~(a) + G(n,b) psi~(b).
 
     `psi` is the solution sampled on lattice sites a-1 .. b+1 (index 0 is
@@ -339,7 +290,7 @@ def restriction_residual(
     def at(n):
         return psi[n - (a - 1)]
 
-    tv = tilde_boundary_values(window, z, at(a), at(a + 1), at(b), at(b - 1), reading)
+    tv = tilde_boundary_values(window, z, at(a), at(a + 1), at(b), at(b - 1))
     A = z * window.L.conj().T - window.M
     e_a = np.zeros(window.size, dtype=complex)
     e_b = np.zeros(window.size, dtype=complex)

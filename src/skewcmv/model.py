@@ -41,8 +41,26 @@ class SchemeError(ValueError):
 
 
 def _mod1(t):
-    """Reduce into [0, 1) with floor, elementwise; negative inputs wrap symmetrically."""
-    return t - np.floor(t)
+    """Reduce into [0, 1) with floor, elementwise; a result of 1.0 (tiny negative t) is 0 mod 1."""
+    r = t - np.floor(t)
+    return np.where(r == 1.0, 0.0, r)
+
+
+def _orbit(x, y, omega, j) -> tuple:
+    """Skew-shift orbit (x + j y + C(j,2) w, y + j w) mod 1, exact for every integer j.
+
+    Inputs broadcast.  Phases become uint64 multiples of 2^-64 (exact for floats
+    >= 2^-11), where wrapping arithmetic is exactly mod 1.  C(j,2) halves the
+    even one of j, j-1 in int64 before the uint64 product, so negative j are
+    exact too.  Returns float arrays in [0, 1), each value rounded once.
+    """
+    # arrays, not numpy scalars: scalar uint64 arithmetic warns when it wraps
+    j = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    odd = j & 1
+    tri = ((j - odd) >> 1).astype(np.uint64) * (j - 1 + odd).astype(np.uint64)
+    x, y, om = ((_mod1(np.asarray(t, dtype=float)) * 2.0**64).astype(np.uint64) for t in (x, y, omega))
+    jj = j.astype(np.uint64)
+    return tuple(_mod1(u.astype(float) * 2.0**-64) for u in (x + jj * y + tri * om, y + jj * om))
 
 
 @dataclass(frozen=True)
@@ -93,16 +111,6 @@ class TrigPolynomial:
     @property
     def coefficients(self) -> dict:
         return {(k, l): c for k, l, c in self.terms}
-
-    @property
-    def degrees(self) -> tuple:
-        """Degree bounds (K, L) = max |k|, max |l| over nonzero terms."""
-        if not self.terms:
-            return (0, 0)
-        return (max(abs(k) for k, _, _ in self.terms), max(abs(l) for _, l, _ in self.terms))
-
-    def is_constant(self) -> bool:
-        return all(k == 0 and l == 0 for k, l, _ in self.terms)
 
     def __call__(self, x, y):
         """Evaluate at torus points; broadcasts over array inputs."""
@@ -177,23 +185,15 @@ def orbit_point(p: Phase, w: Frequency, j: int) -> Phase:
 
     x_j = x + j y + j(j-1)/2 w,  y_j = y + j w   (mod 1).
 
-    Evaluated in extended precision so large |j| do not drift.
+    Evaluated in exact fixed-point arithmetic mod 1, so large |j| do not drift.
     """
-    jl = np.longdouble(j)
-    tri = np.longdouble(j * (j - 1) // 2)
-    xj = _mod1(np.longdouble(p.x) + jl * np.longdouble(p.y) + tri * np.longdouble(w.omega))
-    yj = _mod1(np.longdouble(p.y) + jl * np.longdouble(w.omega))
-    return Phase(float(xj), float(yj))
+    xj, yj = _orbit(p.x, p.y, w.omega, j)
+    return Phase(xj[0], yj[0])
 
 
 def orbit_points(p: Phase, w: Frequency, js) -> np.ndarray:
     """Vectorized closed-form orbit; returns an array of shape (len(js), 2)."""
-    js = np.asarray(js, dtype=np.int64)
-    jl = js.astype(np.longdouble)
-    tri = (js * (js - 1) // 2).astype(np.longdouble)
-    x = _mod1(np.longdouble(p.x) + jl * np.longdouble(p.y) + tri * np.longdouble(w.omega))
-    y = _mod1(np.longdouble(p.y) + jl * np.longdouble(w.omega))
-    return np.stack([x.astype(float), y.astype(float)], axis=-1)
+    return np.stack(_orbit(p.x, p.y, w.omega, js), axis=-1)
 
 
 def skew_shift_orbit(p: Phase, w: Frequency, n: int) -> list:
@@ -223,13 +223,8 @@ def verblunsky_orbit_batch(s: VerblunskyScheme, n: int, phases: np.ndarray) -> n
     kernel behind the Lyapunov estimators: the scheme's own base phase is ignored.
     """
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
-    js = np.arange(n, dtype=np.int64)
-    jl = js.astype(np.longdouble)[:, None]
-    tri = (js * (js - 1) // 2).astype(np.longdouble)[:, None]
-    om = np.longdouble(s.frequency.omega)
-    x = _mod1(phases[None, :, 0].astype(np.longdouble) + jl * phases[None, :, 1].astype(np.longdouble) + tri * om)
-    y = _mod1(phases[None, :, 1].astype(np.longdouble) + jl * om)
-    return s.coupling * s.sampler(x.astype(float), y.astype(float))
+    x, y = _orbit(phases[:, 0], phases[:, 1], s.frequency.omega, np.arange(n)[:, None])
+    return s.coupling * s.sampler(x, y)
 
 
 @dataclass(frozen=True)
@@ -256,7 +251,7 @@ def diophantine_margin(w: Frequency, eps: float, N: int) -> DiophantineCertifica
     if N < 1:
         raise ValueError("horizon must be >= 1")
     n = np.arange(1, N + 1, dtype=np.int64)
-    frac = _mod1(n.astype(np.longdouble) * np.longdouble(w.omega)).astype(float)
+    _, frac = _orbit(0.0, 0.0, w.omega, n)
     dist = np.minimum(frac, 1.0 - frac)
     vals = dist * n * (1.0 + np.log(n)) ** 2
     i = int(np.argmin(vals))

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from skewcmv.model import (
     VerblunskyScheme,
     diophantine_margin,
     orbit_point,
+    orbit_points,
     scheme_from_json,
     scheme_hash,
     scheme_to_json,
@@ -89,6 +91,28 @@ class TestSkewShift:
     def test_mod1_reduction_into_unit_interval(self):
         p = Phase(-0.25, 1.75)
         assert p.x == 0.75 and p.y == 0.75
+        # t - floor(t) rounds to 1.0 for tiny negative t; that is 0 mod 1
+        assert Phase(-1e-20, -1e-17) == Phase(0.0, 0.0)
+        assert Frequency(-1e-18).omega == 0.0
+
+    @pytest.mark.parametrize("j", [0, 1, -1, 2, -2, 10**3, -(10**3), 10**6, -(10**6),
+                                   10**9, -(10**9), 2**32 + 1, -(2**32 + 1)])
+    def test_closed_form_matches_exact_rationals(self, j):
+        # inputs >= 2^-11 with bits at several scales, so the results round
+        p, w = Phase(0.0123456789, 0.31234), Frequency(0.1180339887)
+        x, y, om = (Fraction(t) for t in (p.x, p.y, w.omega))
+        exact = ((x + j * y + Fraction(j * (j - 1), 2) * om) % 1, (y + j * om) % 1)
+
+        def torus_dist(t, ref):
+            d = (Fraction(t) - ref) % 1
+            return float(min(d, 1 - d))
+
+        q = orbit_point(p, w, j)
+        (qx, qy), = orbit_points(p, w, [j])
+        for got in ((q.x, q.y), (qx, qy)):
+            assert 0.0 <= got[0] < 1.0 and 0.0 <= got[1] < 1.0
+            assert torus_dist(got[0], exact[0]) <= 1e-15
+            assert torus_dist(got[1], exact[1]) <= 1e-15
 
 
 class TestVerblunsky:
