@@ -39,22 +39,32 @@ __all__ = [
 # unitary conjugator taking the cocycle matrices into SL(2, R)
 SL2R_CONJUGATOR = -(1.0 / (1.0 + 1.0j)) * np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex)
 
+# lanes of the (z, phase) grid multiplied together; bounds the kernel's temporaries
+LANE_BLOCK = 8192
+# log-growth allowed between renormalizations: spectral_norms_2x2 raises entries
+# to the fourth power, and 4 * 150 stays below the float64 exponent limit of 709
+RENORM_LOG = 150.0
+
 
 class CocycleError(ValueError):
-    """Raised for invalid cocycle inputs (|alpha| >= 1, z = 0)."""
+    """Raised for invalid cocycle inputs (|alpha| >= 1, z zero or not finite)."""
 
 
 class ConjugationError(RuntimeError):
     """Raised when the SL(2,R) conjugation leaves a non-negligible imaginary part."""
 
 
-def circle_sqrt(z: complex, branch: int = 1):
-    """sqrt(z) on the branch exp(i theta / 2), theta = arg(z) mod 2 pi; branch=-1 negates."""
-    z = complex(z)
-    if z == 0:
-        raise CocycleError("z must be nonzero")
+def circle_sqrt(z, branch: int = 1):
+    """sqrt(z), elementwise, on the branch exp(i theta / 2) with theta = arg(z) mod 2 pi.
+
+    branch=-1 negates.  Zero and non-finite z raise CocycleError.
+    """
+    z = np.asarray(z, dtype=complex)
+    bad = z[~np.isfinite(z) | (z == 0)]
+    if bad.size:
+        raise CocycleError(f"spectral parameter z = {bad[0]} must be finite and nonzero")
     theta = np.angle(z) % (2.0 * np.pi)
-    return branch * np.sqrt(abs(z)) * np.exp(0.5j * theta)
+    return branch * np.sqrt(np.abs(z)) * np.exp(0.5j * theta)
 
 
 def szego_matrix(alpha: complex, z: complex, branch: int = 1) -> np.ndarray:
@@ -130,44 +140,54 @@ class FactoredProduct:
         return float(spectral_norms_2x2(np.exp(dls) * self.matrix - other.matrix))
 
 
-def product_batch(alphas: np.ndarray, z: complex, branch: int = 1):
-    """Renormalized transfer products over a batch of coefficient columns.
+def product_batch(alphas: np.ndarray, z, branch: int = 1, carry=None):
+    """Renormalized transfer products over a (Z, S) grid of spectral parameters x orbits.
 
-    `alphas` has shape (n, S): column s holds the coefficients alpha_0..alpha_{n-1}
-    of one orbit.  Returns (log_scales, B, det_logs) of shapes (S,), (S, 2, 2),
-    (S,); the true product for column s is exp(log_scales[s]) * B[s] with the
-    j = n-1 factor leftmost, and det_logs accumulates the complex log of its
-    determinant.  The norm is refactored after every multiplication.
+    `alphas` has shape (n, S): column s holds alpha_0..alpha_{n-1} of one orbit.
+    A scalar z gives (log_scales, B, det_logs) of shapes (S,), (S, 2, 2), (S,); an
+    array of Z values gives (Z, S), (Z, S, 2, 2), (Z, S).  A lane's product is
+    exp(log_scale) * B, the j = n-1 factor leftmost; det_log is the complex log of
+    its determinant.  `carry`, an earlier result, is continued by these n factors.
+
+    A factor is (1/rho) A D, A = [[1, -conj(alpha)], [-alpha, 1]], D = diag(sqrt z,
+    1/sqrt z).  Lanes multiply A D; log(1/rho) and log det = log(sqrt z / sqrt z) +
+    log((1 - |alpha|^2) / rho^2) are summed apart.  The norm is refactored every
+    k = floor(RENORM_LOG / g) steps and at the last, g >= log||M|| bounded from
+    max|alpha| and |z|, so a z's row is bit-identical alone or in a batch.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
     n, S = alphas.shape
-    sz = circle_sqrt(z, branch)
-    inv_sz = 1.0 / sz
-    B = np.zeros((S, 2, 2), dtype=complex)
-    B[:, 0, 0] = 1.0
-    B[:, 1, 1] = 1.0
-    ls = np.zeros(S)
-    det_log = np.zeros(S, dtype=complex)
-    for j in range(n):
-        a = alphas[j]
-        rho = np.sqrt(1.0 - np.abs(a) ** 2)
-        m00 = sz / rho
-        m01 = -np.conj(a) * inv_sz / rho
-        m10 = -a * sz / rho
-        m11 = inv_sz / rho
-        det_log += np.log(m00 * m11 - m01 * m10)
-        b00, b01, b10, b11 = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
-        n00 = m00 * b00 + m01 * b10
-        n01 = m00 * b01 + m01 * b11
-        n10 = m10 * b00 + m11 * b10
-        n11 = m10 * b01 + m11 * b11
-        B = np.stack(
-            [np.stack([n00, n01], axis=-1), np.stack([n10, n11], axis=-1)], axis=-2
-        )
-        s = spectral_norms_2x2(B)
-        B /= s[:, None, None]
-        ls += np.log(s)
-    return ls, B, det_log
+    sz = circle_sqrt(np.reshape(z, -1), branch)
+    isz = 1.0 / sz
+    ls, B, dl = (np.array(np.broadcast_to(c, (len(sz), S) + tail), dtype=t) for c, t, tail in
+                 zip(carry or (0.0, np.eye(2), 0.0), (float, complex, complex), ((), (2, 2), ())))
+    a2 = alphas.real**2 + alphas.imag**2
+    amax = float(np.sqrt(a2.max(initial=0.0)))
+    if amax >= 1.0:
+        raise CocycleError(f"|alpha| = {amax:.6f} >= 1")
+    rho = np.sqrt(1.0 - a2)
+    ls -= np.log(rho).sum(axis=0)
+    dl += n * np.log(sz * isz)[:, None] + np.log((1.0 - a2) / rho**2).sum(axis=0)
+    g = np.log((1.0 + amax) / np.sqrt(1.0 - amax**2)) + np.abs(np.log(np.abs(sz)))
+    k = np.clip(np.floor(RENORM_LOG / np.maximum(g, 1e-300)), 1, max(n, 1)).astype(int)
+    for kk in np.unique(k):
+        rows = np.flatnonzero(k == kk)
+        for r in np.array_split(rows, -(-len(rows) // max(1, LANE_BLOCK // S))):
+            X = np.moveaxis(B[r], (2, 3), (0, 1)).copy()  # X[i, j] = entry (i, j), (Zb, S)
+            top, bot = X
+            zt, zb = sz[r, None], isz[r, None]
+            for j in range(n):
+                top *= zt
+                bot *= zb
+                t = alphas[j] * top
+                top -= alphas[j].conj() * bot
+                bot -= t
+                if (j + 1) % kk == 0 or j == n - 1:
+                    s = spectral_norms_2x2(np.moveaxis(X, (0, 1), (2, 3)))
+                    X *= 1.0 / s
+                    ls[r] += np.log(s)
+            B[r] = np.moveaxis(X, (0, 1), (2, 3))
+    return (ls, B, dl) if np.ndim(z) else (ls[0], B[0], dl[0])
 
 
 def transfer_product(

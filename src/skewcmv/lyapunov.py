@@ -47,6 +47,9 @@ class SamplingConfig:
     def __post_init__(self):
         if self.mode not in ("grid", "monte-carlo"):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
+        for name in ("grid_side", "sample_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def phases(self) -> np.ndarray:
         """Sample phases as an (S, 2) array in fixed order."""
@@ -86,10 +89,29 @@ class DeviationProfile:
     mean: float
 
 
-def _u_values(s: VerblunskyScheme, z: complex, n: int, phases: np.ndarray) -> np.ndarray:
-    alphas = verblunsky_orbit_batch(s, n, phases)
-    ls, _, _ = product_batch(alphas, z)
-    return ls / n
+# orbit steps generated per product call: memory is O(Z S ORBIT_CHUNK), not O(n S)
+ORBIT_CHUNK = 256
+
+
+def _u_values(s: VerblunskyScheme, z, n: int, phases: np.ndarray) -> np.ndarray:
+    """(1/n) log ||M_n|| per (z, phase), shaped as product_batch's log-scales."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    carry = None
+    for j0 in range(0, n, ORBIT_CHUNK):
+        alphas = verblunsky_orbit_batch(s, min(ORBIT_CHUNK, n - j0), phases, start=j0)
+        carry = product_batch(alphas, z, carry=carry)
+    return carry[0] / n
+
+
+def _estimates(s: VerblunskyScheme, zs, n: int, cfg: SamplingConfig) -> list:
+    out = []
+    for z, u in zip(zs, _u_values(s, zs, n, cfg.phases())):
+        mc = cfg.mode == "monte-carlo" and len(u) > 1
+        se = float(np.std(u, ddof=1) / np.sqrt(len(u))) if mc else 0.0
+        mean = float(np.mean(u))
+        out.append(LyapunovEstimate(n, complex(z), mean, se, len(u), cfg.mode, cfg.rng_seed))
+    return out
 
 
 def estimate_Ln(s: VerblunskyScheme, z: complex, n: int, cfg: SamplingConfig) -> LyapunovEstimate:
@@ -97,35 +119,12 @@ def estimate_Ln(s: VerblunskyScheme, z: complex, n: int, cfg: SamplingConfig) ->
 
     The scheme's own base phase is ignored: the estimate is a phase average.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    phases = cfg.phases()
-    u = _u_values(s, z, n, phases)
-    mean = float(np.mean(u))
-    if cfg.mode == "monte-carlo" and len(u) > 1:
-        se = float(np.std(u, ddof=1) / np.sqrt(len(u)))
-    else:
-        se = 0.0
-    return LyapunovEstimate(n, complex(z), mean, se, len(u), cfg.mode, cfg.rng_seed)
+    return _estimates(s, [z], n, cfg)[0]
 
 
 def estimate_Ln_many(s: VerblunskyScheme, zs, n: int, cfg: SamplingConfig) -> list:
-    """Estimates at a common scale for many spectral parameters, reusing the orbit samples."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    phases = cfg.phases()
-    alphas = verblunsky_orbit_batch(s, n, phases)
-    out = []
-    for z in zs:
-        ls, _, _ = product_batch(alphas, z)
-        u = ls / n
-        mean = float(np.mean(u))
-        if cfg.mode == "monte-carlo" and len(u) > 1:
-            se = float(np.std(u, ddof=1) / np.sqrt(len(u)))
-        else:
-            se = 0.0
-        out.append(LyapunovEstimate(n, complex(z), mean, se, len(u), cfg.mode, cfg.rng_seed))
-    return out
+    """Estimates at a common scale for many spectral parameters, sharing each orbit chunk."""
+    return _estimates(s, zs, n, cfg)
 
 
 def deviation_profile(

@@ -216,14 +216,17 @@ def verblunsky_range(s: VerblunskyScheme, lo: int, hi: int) -> np.ndarray:
     return s.coupling * s.sampler(pts[:, 0], pts[:, 1])
 
 
-def verblunsky_orbit_batch(s: VerblunskyScheme, n: int, phases: np.ndarray) -> np.ndarray:
-    """Coefficients alpha_0..alpha_{n-1} along orbits started at each row of `phases`.
+def verblunsky_orbit_batch(
+    s: VerblunskyScheme, n: int, phases: np.ndarray, start: int = 0
+) -> np.ndarray:
+    """Coefficients alpha_start..alpha_{start+n-1} along orbits started at each row of `phases`.
 
     `phases` has shape (S, 2); the result has shape (n, S).  This is the sampling
     kernel behind the Lyapunov estimators: the scheme's own base phase is ignored.
     """
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
-    x, y = _orbit(phases[:, 0], phases[:, 1], s.frequency.omega, np.arange(n)[:, None])
+    js = np.arange(start, start + n)[:, None]
+    x, y = _orbit(phases[:, 0], phases[:, 1], s.frequency.omega, js)
     return s.coupling * s.sampler(x, y)
 
 

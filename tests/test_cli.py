@@ -37,6 +37,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run(config_from_doc({"task": "lyapunov"}))
 
+    @pytest.mark.parametrize("field", ["grid_side", "sample_count"])
+    def test_empty_sampling_plan_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"sampling: {field}"):
+            config_from_doc(base_doc("lyapunov", sampling={"mode": "grid", field: 0}))
+
+    def test_empty_sampling_plan_exits_with_status_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc("lyapunov", {"n": 5}, {"grid_side": 0})))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_hash_embedded_in_rows(self):
         doc = base_doc("lyapunov", {"n": 20})
         cfg = config_from_doc(doc)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcmv.cocycle import (
+    LANE_BLOCK,
     SL2R_CONJUGATOR,
     CocycleError,
     ConjugationError,
+    FactoredProduct,
     circle_sqrt,
     product_batch,
     scaling_factor,
@@ -14,7 +18,14 @@ from skewcmv.cocycle import (
     transfer_product,
     transfer_via_determinants,
 )
-from skewcmv.model import Frequency, Phase, TrigPolynomial, VerblunskyScheme, orbit_point
+from skewcmv.model import (
+    Frequency,
+    Phase,
+    TrigPolynomial,
+    VerblunskyScheme,
+    orbit_point,
+    verblunsky_orbit_batch,
+)
 
 
 def make_scheme(coeffs, lam, omega, base=(0.0, 0.0)):
@@ -138,6 +149,92 @@ class TestTransferProduct:
             n = int(rng.integers(1, 1000))
             fp = transfer_product(s, n, z)
             assert fp.log_scale / n <= P + 1e-12
+
+
+def fold_reference(alphas, z) -> FactoredProduct:
+    """Left fold of FactoredProduct.compose over the per-step Szego factors."""
+    acc = None
+    for a in alphas:
+        m = szego_matrix(a, z)
+        nrm = float(spectral_norms_2x2(m))
+        step = FactoredProduct(m / nrm, float(np.log(nrm)), complex(np.log(np.linalg.det(m))))
+        acc = step if acc is None else step.compose(acc)
+    return acc
+
+
+def streamed(alphas, z, cuts):
+    """product_batch over the chunks alphas[c_i:c_{i+1}], continuing the carry."""
+    carry = None
+    edges = [0, *sorted(cuts), len(alphas)]
+    for lo, hi in zip(edges, edges[1:]):
+        carry = product_batch(alphas[lo:hi], z, carry=carry)
+    return carry
+
+
+z_values = st.builds(
+    lambda r, theta: r * np.exp(1j * theta),
+    st.sampled_from([1.0, 1.0, 0.5, 1.7]) | st.floats(0.3, 3.0),
+    st.floats(0.0, 2 * np.pi),
+)
+
+
+class TestStreamedKernel:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 200),
+        S=st.integers(512, 3000),
+        zs=st.lists(z_values, min_size=2, max_size=7),
+    )
+    def test_batched_row_is_bit_identical_to_single(self, seed, n, S, zs):
+        rng = np.random.default_rng(seed)
+        alphas = 0.97 * np.sqrt(rng.random((n, S))) * np.exp(2j * np.pi * rng.random((n, S)))
+        zs = zs + [zs[0]] * (-(-(LANE_BLOCK + 1) // S) - len(zs))  # Z * S > one lane block
+        ls, B, dl = product_batch(alphas, np.array(zs))
+        assert ls.shape == dl.shape == (len(zs), S) and B.shape == (len(zs), S, 2, 2)
+        for i, z in enumerate(zs):
+            one = product_batch(alphas, z)
+            assert np.array_equal(one[0], ls[i])
+            assert np.array_equal(one[1], B[i])
+            assert np.array_equal(one[2], dl[i])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), z=z_values, data=st.data())
+    def test_streamed_chunks_match_compose_fold(self, seed, n, z, data):
+        s = random_scheme(np.random.default_rng(seed), max_coupling=0.95)
+        alphas = verblunsky_orbit_batch(s, n, np.array([[s.base.x, s.base.y]]))
+        cuts = data.draw(st.lists(st.integers(0, n), max_size=4))
+        ls, B, dl = streamed(alphas, z, cuts)
+        ref = fold_reference(alphas[:, 0], z)
+        got = FactoredProduct(B[0], float(ls[0]), complex(dl[0]))
+        assert abs(got.log_scale - ref.log_scale) <= 1e-12 * n
+        assert got.distance(ref) < 1e-9
+        assert abs(got.det_log - ref.det_log) < 1e-9
+
+    @settings(max_examples=6, deadline=None)
+    @given(r=st.sampled_from([1 / 1.5, 1.5]), theta=st.floats(0.0, 2 * np.pi))
+    def test_extreme_coupling_stays_finite(self, r, theta):
+        # |alpha| == lambda * sup|f| = 0.999 on every step
+        s = make_scheme({(1, 0): 1.0}, 0.999, 0.618033988749895, base=(0.3, 0.7))
+        z, n = r * np.exp(1j * theta), 2000
+        alphas = verblunsky_orbit_batch(s, n, np.array([[0.3, 0.7]]))
+        ls, B, dl = streamed(alphas, z, range(256, n, 256))
+        assert np.all(np.isfinite(ls)) and np.all(np.isfinite(B)) and np.all(np.isfinite(dl))
+        ref = fold_reference(alphas[:, 0], z)
+        got = FactoredProduct(B[0], float(ls[0]), complex(dl[0]))
+        assert abs(got.log_scale - ref.log_scale) <= 1e-12 * n
+        assert got.distance(ref) < 1e-9
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_bad_spectral_parameter(self, bad):
+        alphas = np.full((3, 2), 0.5)
+        for z in (bad, [1.0, bad]):
+            with pytest.raises(CocycleError, match="z = "):
+                product_batch(alphas, z)
+
+    def test_rejects_boundary_coefficients(self):
+        with pytest.raises(CocycleError):
+            product_batch(np.array([[0.5, 1.0]]), 1.0)
 
 
 class TestSL2RConjugation:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from skewcmv.cocycle import scaling_factor
+from skewcmv.cocycle import CocycleError, scaling_factor
 from skewcmv.lyapunov import (
+    ORBIT_CHUNK,
     SamplingConfig,
     avalanche_residual,
     deviation_profile,
@@ -93,6 +96,39 @@ class TestEstimator:
         assert est.mean > 0
 
 
+    @pytest.mark.parametrize("field", ["grid_side", "sample_count"])
+    def test_empty_sampling_plan_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            SamplingConfig(**{field: 0})
+
+    def test_non_finite_spectral_parameter_rejected(self):
+        s = make_scheme(TRIG, 0.9, 0.618)
+        with pytest.raises(CocycleError, match="nan"):
+            estimate_Ln(s, complex(np.nan, 0.0), 10, SamplingConfig(grid_side=2))
+
+
+class TestStreaming:
+    @staticmethod
+    def peak_bytes(n: int) -> int:
+        s = make_scheme(TRIG, 0.9, 0.618)
+        cfg = SamplingConfig(mode="monte-carlo", sample_count=256, rng_seed=4)
+        tracemalloc.start()
+        try:
+            estimate_Ln(s, np.exp(0.7j), n, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_independent_of_orbit_length(self):
+        short, long = self.peak_bytes(4 * ORBIT_CHUNK), self.peak_bytes(32 * ORBIT_CHUNK)
+        assert long <= 1.25 * short, (short, long)
+
+    def test_long_orbit_runs(self):
+        s = make_scheme(TRIG, 0.9, 0.618)
+        est = estimate_Ln(s, 1.0, 100_000, SamplingConfig(mode="monte-carlo", sample_count=16))
+        assert np.isfinite(est.mean) and est.mean > 0
+
+
 class TestDeviationProfile:
     def test_threshold_zero_measures_everything(self):
         s = make_scheme(TRIG, 0.9, 0.618)
@@ -115,6 +151,11 @@ class TestDeviationProfile:
         s = make_scheme(TRIG, 0.9, 0.618)
         with pytest.raises(ValueError):
             deviation_profile(s, 1.0, 10, [0.5, 0.1], SamplingConfig())
+
+    def test_empty_orbit_rejected(self):
+        s = make_scheme(TRIG, 0.9, 0.618)
+        with pytest.raises(ValueError, match="n must be"):
+            deviation_profile(s, 1.0, 0, [0.1], SamplingConfig(grid_side=2))
 
     def test_qualitative_decay_with_scale(self):
         s = make_scheme(TRIG, 0.95, (np.sqrt(5) - 1) / 2)

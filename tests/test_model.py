@@ -145,6 +145,12 @@ class TestVerblunsky:
             for j in range(16):
                 assert batch[j, col] == pytest.approx(verblunsky_at(s2, j), abs=1e-13)
 
+    def test_batch_chunks_concatenate_exactly(self):
+        s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.7, 0.313)
+        phases = np.array([[0.1, 0.2], [0.8, 0.55]])
+        chunks = [verblunsky_orbit_batch(s, m, phases, start=j0) for j0, m in ((0, 7), (7, 1), (8, 13))]
+        assert np.array_equal(np.concatenate(chunks), verblunsky_orbit_batch(s, 21, phases))
+
     def test_coupling_bound_holds_in_bulk(self):
         s = make_scheme({(1, 0): 0.6, (0, 1): 0.3, (2, 1): 0.1}, 0.95, 0.7182)
         vals = verblunsky_range(s, 0, 100_000)
