@@ -419,16 +419,19 @@ def _task_spectrum(cfg: ExperimentConfig, rng):
     w = assemble_window(cfg.scheme, (a, a + size - 1), bc)
     pairs = window_spectrum(w)
     rows = []
-    failures = 0
     for pr in pairs:
-        mod_dev = abs(abs(pr.value) - 1.0)
-        ok = (mod_dev < 1e-8 and pr.residual < 1e-8) if bc.unimodular else pr.residual < 1e-8
-        failures += 0 if ok else 1
+        ok = _eigenpair_ok(pr.value, pr.residual, bc)
         rows.append(
             {"eig_re": pr.value.real, "eig_im": pr.value.imag,
-             "modulus_dev": mod_dev, "residual": pr.residual, "ok": int(ok)}
+             "modulus_dev": abs(abs(pr.value) - 1.0), "residual": pr.residual, "ok": int(ok)}
         )
+    failures = sum(1 - r["ok"] for r in rows)
     return rows, failures, f"{size} eigenpairs, {failures} failures"
+
+
+def _eigenpair_ok(value: complex, residual: float, bc: BoundaryPair) -> bool:
+    """The eigen invariants: residual below 1e-8 and, under a unimodular boundary, |w| = 1 to 1e-8."""
+    return residual < 1e-8 and (abs(abs(value) - 1.0) < 1e-8 or not bc.unimodular)
 
 
 def _task_localize(cfg: ExperimentConfig, rng):
@@ -461,7 +464,8 @@ def _task_localize(cfg: ExperimentConfig, rng):
         for r in reports
     ]
     frac = float(np.mean([r.localized for r in reports])) if reports else 0.0
-    return rows, 0, f"{len(rows)} eigenpairs, localized fraction {frac:.3f}"
+    failures = sum(not _eigenpair_ok(r.eigenvalue, r.residual, bc) for r in reports)
+    return rows, failures, f"{len(rows)} eigenpairs, localized fraction {frac:.3f}"
 
 
 def _task_detform_check(cfg: ExperimentConfig, rng):

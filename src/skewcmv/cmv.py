@@ -168,13 +168,6 @@ class CMVWindow:
     def raw_rho(self, n: int) -> float:
         return float(np.sqrt(1.0 - abs(self.raw_alpha(n)) ** 2))
 
-    def effective_alpha(self, n: int) -> complex:
-        if n == self.a - 1:
-            return self.beta
-        if n == self.b:
-            return self.gamma
-        return self.raw_alpha(n)
-
 
 def assemble_window(s: VerblunskyScheme, interval, bc: BoundaryPair) -> CMVWindow:
     """Build the window over `interval` = (a, b) with boundary pair `bc`.

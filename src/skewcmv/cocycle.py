@@ -111,11 +111,6 @@ class FactoredProduct:
     log_scale: float
     det_log: complex = 0.0
 
-    @property
-    def norm_log(self) -> float:
-        """log of the spectral norm of the represented product."""
-        return self.log_scale
-
     def det(self) -> complex:
         """Determinant of the represented product (from the accumulated log)."""
         return complex(np.exp(self.det_log))

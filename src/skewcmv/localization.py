@@ -38,25 +38,118 @@ class EigenPair:
     residual: float
 
 
+# cos values of H = (E + E*)/2 closer than this many mean spacings (2/N) share a Ritz step
+_CLUSTER_SPACINGS = 0.3
+# half-bandwidth of E, which is five-diagonal (Cantero, Moral & Velazquez 2003)
+_BAND = 2
+# columns per block when forming E V, which bounds the temporaries to N x 64
+_COLUMN_BLOCK = 64
+
+
 def window_spectrum(window: CMVWindow) -> list:
     """All eigenpairs of the window, sorted by eigenvalue angle for determinism.
 
-    Under a unimodular boundary every eigenvalue lies on the unit circle; the
-    per-pair residual ||E v - w v|| is recorded.
+    Under a unimodular boundary E is unitary, hence normal, and every eigenvalue
+    lies on the unit circle: those windows take the Hermitian route of
+    `_normal_eigvecs`, and each eigenvalue is the Rayleigh quotient v* E v.
+    Other windows are not normal and take dense `eig`.  The per-pair residual
+    ||E v - w v|| is recorded.
     """
     E = window.matrix
+    ab = _band(E)
     try:
-        w, V = scipy.linalg.eig(E)
+        if window.unimodular:
+            V = _normal_eigvecs(E, ab)
+            w = None
+        else:
+            w, V = scipy.linalg.eig(E)
+            V /= np.linalg.norm(V, axis=0)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed on window {window.scheme_ref} [{window.a},{window.b}]: {exc}") from exc
+    w, resid = _residuals(ab, V, w)
     order = np.argsort(np.angle(w) % (2.0 * np.pi), kind="stable")
-    pairs = []
-    for i in order:
-        v = V[:, i]
-        v = v / np.linalg.norm(v)
-        resid = float(np.linalg.norm(E @ v - w[i] * v))
-        pairs.append(EigenPair(complex(w[i]), v, resid))
-    return pairs
+    return [EigenPair(complex(w[i]), V[:, i], float(resid[i])) for i in order]
+
+
+def _normal_eigvecs(E: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of a normal E through the Hermitian H = (E + E*)/2.
+
+    H has the eigenvectors of E and the eigenvalues cos(theta).  Its ascending
+    eigenvalues are cut into groups wherever the gap reaches _CLUSTER_SPACINGS
+    mean spacings.  Inside a group the vectors are rotated by one Rayleigh-Ritz
+    step with E, which separates the pairs e^{+-i theta} of conjugation-symmetric
+    spectra and the crowded cos values near theta = 0, pi, where H's vectors are
+    poorly determined.  Last, every vector takes one step of inverse iteration
+    with the band of E shifted by its Rayleigh quotient.  The back-transform
+    inside `eigh` leaves a floor of 1e-15 to 1e-14 on every site, far above the
+    true tail of a localized vector, and decay fits read it as a plateau; the
+    banded solve removes it.
+    """
+    n = len(E)
+    H = E.conj().T
+    H += E
+    H *= 0.5
+    c, V = scipy.linalg.eigh(H, overwrite_a=True)
+    del H
+    cuts = np.flatnonzero(np.diff(c) >= _CLUSTER_SPACINGS * 2.0 / n) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
+        if hi - lo > 1:
+            g = slice(lo, hi)
+            # Y has unit columns and V[:, g] orthonormal ones, so V[:, g] Y stays unit
+            _, Y = scipy.linalg.eig(V[:, g].conj().T @ _band_dot(ab, V[:, g]))
+            V[:, g] = V[:, g] @ Y
+    gbsv = scipy.linalg.get_lapack_funcs("gbsv", (ab,))
+    for i, shift in enumerate(_residuals(ab, V)[0]):
+        shifted = ab.copy()
+        shifted[2 * _BAND] -= shift
+        _, _, x, info = gbsv(_BAND, _BAND, shifted, V[:, i], overwrite_ab=True)
+        if info == 0:  # info > 0: an exactly zero pivot, the shift is an eigenvalue to working precision; v stays
+            V[:, i] = x / np.linalg.norm(x)
+    return V
+
+
+def _band(E: np.ndarray) -> np.ndarray:
+    """The five diagonals of E in LAPACK band layout, ab[2*_BAND + i - j, j] = E[i, j].
+
+    The top _BAND rows are left zero for the fill-in of `gbsv`.
+    """
+    n = len(E)
+    ab = np.zeros((3 * _BAND + 1, n), dtype=complex)
+    for k in range(-_BAND, _BAND + 1):  # k = i - j
+        ab[2 * _BAND + k, max(-k, 0) : n - max(k, 0)] = np.diagonal(E, -k)
+    if np.count_nonzero(ab) != np.count_nonzero(E):
+        raise ValueError(f"window matrix has entries beyond its {2 * _BAND + 1} central diagonals")
+    return ab
+
+
+def _band_dot(ab: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """E X from the band layout of E."""
+    n = len(X)
+    out = np.zeros(X.shape, dtype=complex)
+    for k in range(-_BAND, _BAND + 1):  # out[i] += E[i, i - k] X[i - k]
+        lo, hi = max(k, 0), n + min(k, 0)
+        out[lo:hi] += ab[2 * _BAND + k, lo - k : hi - k, None] * X[lo - k : hi - k]
+    return out
+
+
+def _residuals(ab: np.ndarray, V: np.ndarray, w: np.ndarray | None = None) -> tuple:
+    """(w, ||E v - w v||) for the unit columns v of V; w defaults to the Rayleigh quotients v* E v.
+
+    E V is formed from the band of E in column blocks.
+    """
+    n = V.shape[1]
+    rayleigh = w is None
+    if rayleigh:
+        w = np.empty(n, dtype=complex)
+    resid = np.empty(n)
+    for j in range(0, n, _COLUMN_BLOCK):
+        blk = slice(j, j + _COLUMN_BLOCK)
+        v = V[:, blk]
+        ev = _band_dot(ab, v)
+        if rayleigh:
+            w[blk] = np.einsum("ij,ij->j", v.conj(), ev)
+        resid[blk] = np.linalg.norm(ev - v * w[blk], axis=0)
+    return w, resid
 
 
 def inverse_participation_ratio(v: np.ndarray) -> float:
@@ -101,8 +194,9 @@ def decay_fit(v: np.ndarray, noise_floor: float = 1e-14) -> VectorDecayFit:
     xs, ys = xs[keep], np.log(env[keep])
     if len(xs) < 3:
         return VectorDecayFit(center=center, rate=0.0, r2=0.0)
-    slope, _ = np.polyfit(xs, ys, 1)
-    pred = np.polyval(np.polyfit(xs, ys, 1), xs)
+    coef = np.polyfit(xs, ys, 1)
+    slope = coef[0]
+    pred = np.polyval(coef, xs)
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
@@ -112,6 +206,7 @@ def decay_fit(v: np.ndarray, noise_floor: float = 1e-14) -> VectorDecayFit:
 @dataclass(frozen=True)
 class LocalizationReport:
     eigenvalue: complex
+    residual: float  # ||E v - w v|| of the eigenpair
     center: int
     rate: float
     r2: float
@@ -151,6 +246,7 @@ def localization_scan(
         reports.append(
             LocalizationReport(
                 eigenvalue=pair.value,
+                residual=pair.residual,
                 center=fit.center,
                 rate=fit.rate,
                 r2=fit.r2,

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+import skewcmv.cli
+import skewcmv.localization
 from skewcmv.cli import ConfigError, config_from_doc, main, run, run_sweep
 
 SCHEME_DOC = {
@@ -183,6 +186,22 @@ class TestEntryPoint:
         saved = json.loads(out_path.read_text())
         assert saved["config"]["task"] == "dio-check"
         assert saved["rows"][0]["margin"] == 0.0
+
+    @pytest.mark.parametrize("task", ["localize", "spectrum"])
+    def test_bad_eigen_residual_exits_nonzero(self, tmp_path, monkeypatch, task):
+        solve = skewcmv.localization.window_spectrum
+
+        def one_bad_residual(window):
+            pairs = solve(window)
+            return [dataclasses.replace(pairs[0], residual=1.0)] + pairs[1:]
+
+        monkeypatch.setattr(skewcmv.localization, "window_spectrum", one_bad_residual)
+        monkeypatch.setattr(skewcmv.cli, "window_spectrum", one_bad_residual)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc(task, {"size": 64}, {"mode": "grid", "grid_side": 4})))
+        out_path = tmp_path / "o.json"
+        assert main(["--config", str(cfg_path), "--out", str(out_path), "--format", "json"]) == 1
+        assert len(json.loads(out_path.read_text())["rows"]) == 64
 
     def test_flag_overrides_config_task(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

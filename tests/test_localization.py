@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from skewcmv import localization
 from skewcmv.cmv import BoundaryPair, assemble_window
 from skewcmv.localization import (
     decay_fit,
@@ -9,7 +14,7 @@ from skewcmv.localization import (
     localization_scan,
     window_spectrum,
 )
-from skewcmv.lyapunov import SamplingConfig
+from skewcmv.lyapunov import SamplingConfig, estimate_Ln_many
 from skewcmv.model import Frequency, Phase, TrigPolynomial, VerblunskyScheme
 
 GOLDEN = (np.sqrt(5) - 1) / 2
@@ -20,6 +25,17 @@ def make_scheme(coeffs, lam, omega, base=(0.0, 0.0)):
 
 
 TRIG = {(1, 0): 0.5, (0, 1): 0.5}
+# (cos 2 pi x + cos 2 pi y) / 2: real coefficients, so E is real and its spectrum conjugation-symmetric
+REAL_TRIG = {(1, 0): 0.25, (-1, 0): 0.25, (0, 1): 0.25, (0, -1): 0.25}
+
+
+def multiset_gap(a, b) -> float:
+    """Largest distance in the best one-to-one matching of two eigenvalue lists (order-free)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert len(a) == len(b)
+    d = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(d)
+    return float(np.max(d[rows, cols]))
 
 
 class TestWindowSpectrum:
@@ -33,9 +49,9 @@ class TestWindowSpectrum:
         perm[3, 1] = 1.0
         perm[0, 2] = 1.0
         perm[2, 3] = 1.0
-        want = np.sort_complex(np.linalg.eigvals(perm))
-        got = np.sort_complex(np.array([p.value for p in pairs]))
-        assert np.max(np.abs(got - want)) < 1e-10
+        want = np.linalg.eigvals(perm)
+        got = np.array([p.value for p in pairs])
+        assert multiset_gap(got, want) < 1e-10
 
     def test_eigenpair_quality(self):
         rng = np.random.default_rng(12)
@@ -57,6 +73,110 @@ class TestWindowSpectrum:
         a = np.sort(np.angle(original) % (2 * np.pi))
         b = np.sort(np.angle(rephased) % (2 * np.pi))
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+class TestNormalPath:
+    """Unimodular windows go through eigh on (E + E*)/2; dense eig is the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["real", "free", "complex"]),
+        lam=st.sampled_from([0.0, 0.3, 0.9, 0.99]),
+        size=st.integers(4, 256),
+        a=st.integers(-50, 50),
+        signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+        angles=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+        omega=st.floats(0.05, 0.95),
+        base=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_eig(self, kind, lam, size, a, signs, angles, omega, base, seed):
+        if kind == "complex":
+            rng = np.random.default_rng(seed)
+            keys = [(1, 0), (0, 1), (1, 1), (2, -1)]
+            c = rng.normal(size=4) + 1j * rng.normal(size=4)
+            coeffs = dict(zip(keys, c / np.sum(np.abs(c))))
+            bc = BoundaryPair(np.exp(1j * angles[0]), np.exp(1j * angles[1]))
+        else:
+            coeffs = REAL_TRIG
+            lam = 0.0 if kind == "free" else lam
+            bc = BoundaryPair(*signs)
+        w = assemble_window(make_scheme(coeffs, lam, omega, base), (a, a + size - 1), bc)
+        pairs = window_spectrum(w)
+        assert len(pairs) == size
+        assert multiset_gap([p.value for p in pairs], scipy.linalg.eigvals(w.matrix)) <= 1e-12
+        assert max(p.residual for p in pairs) <= 1e-11
+        for p in pairs:
+            assert np.linalg.norm(w.matrix @ p.vector - p.value * p.vector) <= 1e-11
+            assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-12)
+
+    def test_decay_fits_match_dense_eig(self):
+        # eigh's back-transform leaves a ~1e-15 floor on every site of its vectors; unless the
+        # inverse-iteration step removes it, localized tails read as plateaus in the fits
+        s = make_scheme(TRIG, 0.9, GOLDEN, base=(0.31, 0.77))
+        w = assemble_window(s, (0, 255), BoundaryPair(1.0, 1.0))
+        vals, vecs = scipy.linalg.eig(w.matrix)
+        drate, dr2 = [], []
+        for p in window_spectrum(w):
+            j = int(np.argmin(np.abs(vals - p.value)))
+            got, want = decay_fit(p.vector), decay_fit(vecs[:, j])
+            drate.append(abs(got.rate - want.rate))
+            dr2.append(abs(got.r2 - want.r2))
+        assert np.median(drate) < 1e-3
+        assert np.mean(np.array(drate) > 0.05) <= 0.01
+        assert np.mean(np.array(dr2) > 0.05) <= 0.01
+
+    @pytest.mark.parametrize("gamma,dense", [(0.5, True), (1.0, False)])
+    def test_route_follows_unimodularity(self, monkeypatch, gamma, dense):
+        calls = {"eig": [], "eigh": 0}
+        eig, eigh = scipy.linalg.eig, scipy.linalg.eigh
+
+        def spy_eig(A, *args, **kwargs):
+            calls["eig"].append(len(A))
+            return eig(A, *args, **kwargs)
+
+        def spy_eigh(A, *args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(A, *args, **kwargs)
+
+        monkeypatch.setattr(localization.scipy.linalg, "eig", spy_eig)
+        monkeypatch.setattr(localization.scipy.linalg, "eigh", spy_eigh)
+        s = make_scheme(TRIG, 0.9, GOLDEN, base=(0.2, 0.6))
+        w = assemble_window(s, (0, 47), BoundaryPair(np.exp(0.7j), gamma))
+        pairs = window_spectrum(w)
+        assert (48 in calls["eig"]) == dense
+        assert calls["eigh"] == (0 if dense else 1)
+        assert multiset_gap([p.value for p in pairs], eig(w.matrix, right=False)) < 1e-12
+        assert max(p.residual for p in pairs) < 1e-11
+
+
+# the localize-scan benchmark's schemes for cases 3 and 7
+THOULESS_SCHEMES = [
+    ({(1, 0): -0.061779854423289385 - 0.38966617186906427j, (2, 0): 0.2334760604120627 + 0.5586402501279615j},
+     0.47131339168211883, (0.37003621064256664, 0.08213985264452461)),
+    ({(1, 0): 0.46961068634655123 - 0.2001934878669405j, (1, -1): -0.019556765111907553 + 0.4891078207986741j},
+     0.7421815553386005, (0.34880221153142443, 0.10202513746069275)),
+]
+
+
+@pytest.mark.parametrize("coeffs,omega,base", THOULESS_SCHEMES)
+def test_thouless_formula_off_the_circle(coeffs, omega, base):
+    """Window eigenvalues and the cocycle agree off the circle (Thouless formula for OPUC).
+
+    L_n(z) = (1/N) sum_j log|z - w_j| - E log rho - (1/2) log|z|, the last term from
+    the sqrt(z) normalization of the determinant-one cocycle.
+    """
+    s = make_scheme(coeffs, 0.9, omega, base)
+    size = 1024
+    w = np.array([p.value for p in window_spectrum(assemble_window(s, (0, size - 1), BoundaryPair(1.0, 1.0)))])
+    grid = (np.arange(256) + 0.5) / 256
+    x, y = np.meshgrid(grid, grid)
+    e_log_rho = float(np.mean(0.5 * np.log1p(-np.abs(s.coupling * s.sampler(x, y)) ** 2)))
+    zs = [1.5 * np.exp(0.7j), 0.6 * np.exp(2.1j), 2.0, 1.2j]
+    ests = estimate_Ln_many(s, zs, 2000, SamplingConfig(mode="grid", grid_side=8))
+    for z, est in zip(zs, ests):
+        thouless = np.mean(np.log(np.abs(z - w))) - e_log_rho - 0.5 * np.log(abs(z))
+        assert abs(est.mean - thouless) <= 0.02, z
 
 
 class TestDecayFit:
