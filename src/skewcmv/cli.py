@@ -40,6 +40,7 @@ from .lyapunov import (
 from .model import (
     Frequency,
     Phase,
+    SchemeError,
     TrigPolynomial,
     VerblunskyScheme,
     diophantine_margin,
@@ -171,7 +172,11 @@ def _task_dio_check(cfg: ExperimentConfig, rng):
     omega = float(p.get("omega", cfg.scheme.frequency.omega if cfg.scheme else 0.5))
     eps = float(p.get("epsilon", 0.1))
     horizon = int(p.get("horizon", 10000))
-    cert = diophantine_margin(Frequency(omega), eps, horizon)
+    try:
+        frequency = Frequency(omega)
+    except SchemeError as exc:
+        raise ConfigError(f"params.{exc}") from exc
+    cert = diophantine_margin(frequency, eps, horizon)
     row = {
         "omega": omega,
         "epsilon": eps,
@@ -592,7 +597,7 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
     if doc.get("scheme") is not None:
         try:
             scheme = scheme_from_json(json.dumps(doc["scheme"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # SchemeError is a ValueError
             raise ConfigError(f"scheme: {exc}") from exc
     sampling_doc = doc.get("sampling", {})
     try:

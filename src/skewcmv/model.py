@@ -8,10 +8,12 @@ module is a pure function of its inputs and safe to call concurrently.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,15 @@ __all__ = [
 
 
 class SchemeError(ValueError):
-    """Raised when a coefficient scheme violates the coupling bound sup|lambda*alpha| < 1."""
+    """Raised when a coefficient scheme has a non-finite input or violates sup|lambda*alpha| < 1."""
+
+
+def _finite(name: str, value) -> float:
+    """`value` as a float; SchemeError naming `name` when it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise SchemeError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _mod1(t):
@@ -71,8 +81,8 @@ class Phase:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(_mod1(self.x)))
-        object.__setattr__(self, "y", float(_mod1(self.y)))
+        object.__setattr__(self, "x", float(_mod1(_finite("Phase.x", self.x))))
+        object.__setattr__(self, "y", float(_mod1(_finite("Phase.y", self.y))))
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ class Frequency:
     omega: float
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", float(_mod1(self.omega)))
+        object.__setattr__(self, "omega", float(_mod1(_finite("omega", self.omega))))
 
 
 @dataclass(frozen=True, init=False)
@@ -106,6 +116,9 @@ class TrigPolynomial:
             )
         else:
             terms = tuple(sorted((int(k), int(l), complex(c)) for k, l, c in coefficients if c != 0))
+        for k, l, c in terms:
+            if not cmath.isfinite(c):
+                raise SchemeError(f"coefficient ({k}, {l}) must be finite, got {c}")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -140,36 +153,44 @@ class TrigPolynomial:
         return float(np.max(np.abs(self(x, y))))
 
 
-# grid used by the construction-time sup-norm certificate
+# grid of the sup-norm test, used when the l1 bound cannot prove the coupling bound
 _SUP_GRID_SIDE = 256
+# coupling * ell1 below 1 - _ELL1_SLACK proves the bound with room for the
+# rounding of grid_max, so the grid test would accept the scheme too
+_ELL1_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class VerblunskyScheme:
     """Coefficient generator alpha_n = coupling * sampler(T^n(base)) along a skew-shift orbit.
 
-    Raises SchemeError at construction when the coupling bound
-    sup |coupling * sampler| < 1 fails on a 256x256 grid.  The grid supremum and
-    the l1 coefficient bound are cached for the scaling-factor computation.
+    Construction enforces the coupling bound sup |coupling * sampler| < 1 and
+    raises SchemeError when it fails.  The l1 bound sampler.ell1() >= sup|sampler|
+    proves it whenever coupling * ell1 < 1 - 1e-12, and then no grid is
+    evaluated.  Otherwise the sampler's maximum on a 256x256 grid decides:
+    coupling * grid_sup >= 1 is rejected.  The accepted set is exactly that of
+    the grid test alone.  `grid_sup` is computed on first read and cached.
     """
 
     sampler: TrigPolynomial
     coupling: float
     frequency: Frequency
     base: Phase
-    grid_sup: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.coupling < 1.0:
-            raise SchemeError(f"coupling must lie in [0, 1), got {self.coupling}")
-        # practical certificate: grid sup must clear the bound; the l1 bound
-        # sampler.ell1() >= sup|alpha| is available to callers wanting a proof
-        sup = self.sampler.grid_max(_SUP_GRID_SIDE)
-        object.__setattr__(self, "grid_sup", float(sup))
-        if self.coupling * sup >= 1.0:
+            raise SchemeError(f"coupling lambda must lie in [0, 1), got {self.coupling}")
+        if self.coupling * self.sampler.ell1() < 1.0 - _ELL1_SLACK:
+            return
+        if self.coupling * self.grid_sup >= 1.0:
             raise SchemeError(
-                f"coupling bound violated: coupling * sup_grid|alpha| = {self.coupling * sup:.6f} >= 1"
+                f"coupling bound violated: coupling * sup_grid|alpha| = {self.coupling * self.grid_sup:.6f} >= 1"
             )
+
+    @cached_property
+    def grid_sup(self) -> float:
+        """Max of |sampler| on the 256x256 grid of the sup-norm test."""
+        return self.sampler.grid_max(_SUP_GRID_SIDE)
 
     def alpha_at(self, n: int) -> complex:
         return verblunsky_at(self, n)
@@ -280,9 +301,9 @@ def scheme_from_json(text: str) -> VerblunskyScheme:
     sampler = TrigPolynomial([(k, l, complex(re, im)) for k, l, re, im in doc["coefficients"]])
     return VerblunskyScheme(
         sampler=sampler,
-        coupling=float(doc["lambda"]),
-        frequency=Frequency(float(doc["omega"])),
-        base=Phase(float(doc["base_x"]), float(doc["base_y"])),
+        coupling=_finite("lambda", doc["lambda"]),
+        frequency=Frequency(_finite("omega", doc["omega"])),
+        base=Phase(_finite("base_x", doc["base_x"]), _finite("base_y", doc["base_y"])),
     )
 
 

@@ -34,33 +34,12 @@ from skewcmv.lyapunov import (
     multiscale_residual,
     positivity_margin,
 )
-from skewcmv.model import (
-    Frequency,
-    Phase,
-    TrigPolynomial,
-    VerblunskyScheme,
-    diophantine_margin,
-    orbit_point,
-)
+from skewcmv.model import diophantine_margin, orbit_point
+from schemes import make_scheme, random_scheme
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 REFERENCE_SAMPLER = {(1, 0): 0.5, (0, 1): 0.5}  # (e^{2 pi i x} + e^{2 pi i y}) / 2
 UNIMODULAR_SAMPLER = {(1, 0): 1.0}  # e^{2 pi i x}, so |alpha_n| = lambda
-
-
-def make_scheme(coeffs, lam, omega, base=(0.0, 0.0)):
-    return VerblunskyScheme(TrigPolynomial(coeffs), lam, Frequency(omega), Phase(*base))
-
-
-def random_scheme(rng, max_coupling=0.9):
-    coeffs = {}
-    for _ in range(int(rng.integers(1, 4))):
-        kl = (int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
-        coeffs[kl] = (0.2 + rng.random()) * np.exp(2j * np.pi * rng.random())
-    poly = TrigPolynomial(coeffs)
-    coeffs = {kl: c / poly.ell1() for kl, c in poly.coefficients.items()}
-    return make_scheme(coeffs, float(rng.uniform(0, max_coupling)), float(rng.random()),
-                       base=(float(rng.random()), float(rng.random())))
 
 
 def random_bc(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -52,6 +53,31 @@ class TestConfig:
             main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("lambda", 1.5, "coupling lambda"),
+            ("omega", math.nan, "omega"),
+            ("base_x", math.nan, "base_x"),
+            ("coefficients", [[1, 0, math.inf, 0.0]], "coefficient (1, 0)"),
+            ("coefficients", [[1, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]], "coupling bound violated"),
+        ],
+    )
+    def test_bad_scheme_exits_with_status_2(self, tmp_path, capsys, key, value, field):
+        doc = base_doc("lyapunov", {"n": 5})
+        doc["scheme"][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert f"scheme: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_finite_dio_check_omega_rejected(self):
+        with pytest.raises(ConfigError, match="params.omega must be finite"):
+            run_doc({"task": "dio-check", "params": {"omega": math.nan}})
 
     def test_hash_embedded_in_rows(self):
         doc = base_doc("lyapunov", {"n": 20})

@@ -15,22 +15,8 @@ from skewcmv.cmv import (
     window_metadata,
     window_to_matrixmarket,
 )
-from skewcmv.model import Frequency, Phase, TrigPolynomial, VerblunskyScheme, verblunsky_range
-
-
-def make_scheme(coeffs, lam, omega, base=(0.0, 0.0)):
-    return VerblunskyScheme(TrigPolynomial(coeffs), lam, Frequency(omega), Phase(*base))
-
-
-def random_scheme(rng, max_coupling=0.92):
-    coeffs = {}
-    for _ in range(int(rng.integers(1, 4))):
-        kl = (int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
-        coeffs[kl] = (0.2 + rng.random()) * np.exp(2j * np.pi * rng.random())
-    poly = TrigPolynomial(coeffs)
-    coeffs = {kl: c / poly.ell1() for kl, c in poly.coefficients.items()}
-    return make_scheme(coeffs, float(rng.uniform(0, max_coupling)), float(rng.random()),
-                       base=(float(rng.random()), float(rng.random())))
+from skewcmv.model import verblunsky_range
+from schemes import make_scheme, random_scheme
 
 
 def random_window(rng, s, min_size=8, max_size=128):
@@ -78,7 +64,7 @@ class TestWindowAssembly:
     def test_unitarity_battery(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
-            s = random_scheme(rng)
+            s = random_scheme(rng, max_coupling=0.92)
             w = random_window(rng, s, 8, 96)
             E, L, M = w.matrix, w.L, w.M
             eye = np.eye(w.size)
@@ -91,7 +77,7 @@ class TestWindowAssembly:
 
     def test_pentadiagonal_entries_exactly_zero(self):
         rng = np.random.default_rng(3)
-        s = random_scheme(rng)
+        s = random_scheme(rng, max_coupling=0.92)
         w = random_window(rng, s, 12, 24)
         for i in range(w.size):
             for j in range(w.size):
@@ -153,7 +139,7 @@ class TestCharPoly:
 
     def test_eigenvalue_product_oracle(self):
         rng = np.random.default_rng(9)
-        s = random_scheme(rng)
+        s = random_scheme(rng, max_coupling=0.92)
         w = random_window(rng, s, 8, 8)
         z = 1.3 * np.exp(0.9j)
         eigs = np.linalg.eigvals(w.matrix)
@@ -163,7 +149,7 @@ class TestCharPoly:
 
     def test_phi_normalization(self):
         rng = np.random.default_rng(10)
-        s = random_scheme(rng)
+        s = random_scheme(rng, max_coupling=0.92)
         w = random_window(rng, s, 6, 6)
         cp = char_poly(w, 2.0)
         rho_prod = np.prod([w.raw_rho(n) for n in range(w.a, w.b + 1)])

@@ -18,29 +18,8 @@ from skewcmv.cocycle import (
     transfer_product,
     transfer_via_determinants,
 )
-from skewcmv.model import (
-    Frequency,
-    Phase,
-    TrigPolynomial,
-    VerblunskyScheme,
-    orbit_point,
-    verblunsky_orbit_batch,
-)
-
-
-def make_scheme(coeffs, lam, omega, base=(0.0, 0.0)):
-    return VerblunskyScheme(TrigPolynomial(coeffs), lam, Frequency(omega), Phase(*base))
-
-
-def random_scheme(rng, max_coupling=0.9):
-    coeffs = {}
-    for _ in range(int(rng.integers(1, 4))):
-        kl = (int(rng.integers(-2, 3)), int(rng.integers(-2, 3)))
-        coeffs[kl] = (0.2 + rng.random()) * np.exp(2j * np.pi * rng.random())
-    poly = TrigPolynomial(coeffs)
-    coeffs = {kl: c / poly.ell1() for kl, c in poly.coefficients.items()}
-    return make_scheme(coeffs, float(rng.uniform(0, max_coupling)), float(rng.random()),
-                       base=(float(rng.random()), float(rng.random())))
+from skewcmv.model import orbit_point, verblunsky_orbit_batch
+from schemes import make_scheme, random_scheme
 
 
 class TestSzegoMatrix:

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,14 +18,17 @@ from skewcmv.localization import (
     localization_scan,
     window_spectrum,
 )
+from skewcmv.cli import config_from_doc, run
 from skewcmv.lyapunov import SamplingConfig, estimate_Ln_many
-from skewcmv.model import Frequency, Phase, TrigPolynomial, VerblunskyScheme
+from schemes import make_scheme
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # its dataclasses look their module up
+_spec.loader.exec_module(workloads)
 
 GOLDEN = (np.sqrt(5) - 1) / 2
-
-
-def make_scheme(coeffs, lam, omega, base=(0.0, 0.0)):
-    return VerblunskyScheme(TrigPolynomial(coeffs), lam, Frequency(omega), Phase(*base))
 
 
 TRIG = {(1, 0): 0.5, (0, 1): 0.5}
@@ -255,6 +262,20 @@ class TestLocalizationScan:
         s = make_scheme(TRIG, 0.9, GOLDEN)
         with pytest.raises(ValueError):
             localization_scan(s, 32, BoundaryPair(1.0, 1.0), SamplingConfig())
+
+
+# localized pairs of 512 in the localize-scan benchmark's cases, recorded at 803eefe
+LOCALIZED_OF_512 = {6: 512, 7: 474}
+
+
+@pytest.mark.parametrize("case", sorted(LOCALIZED_OF_512))
+def test_benchmark_localized_fraction(case):
+    # the benchmark's correctness gate compares eigenvalues and L_ref only, not the flags
+    (call,) = workloads._localize_scan(case)
+    doc = dict(call.doc, sampling=dict(call.doc["sampling"], rng_seed=case))
+    rows, failures, _ = run(config_from_doc(doc))
+    assert failures == 0 and len(rows) == 512
+    assert abs(sum(r["localized_flag"] for r in rows) - LOCALIZED_OF_512[case]) <= 2
 
 
 class TestFiniteSizeDrift:

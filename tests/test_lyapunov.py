@@ -16,13 +16,9 @@ from skewcmv.lyapunov import (
     positivity_margin,
     uniform_bound_check,
 )
-from skewcmv.model import Frequency, Phase, TrigPolynomial, VerblunskyScheme
+from schemes import make_scheme
 
 HALF_LOG3 = 0.5 * np.log(3.0)
-
-
-def make_scheme(coeffs, lam, omega, base=(0.0, 0.0)):
-    return VerblunskyScheme(TrigPolynomial(coeffs), lam, Frequency(omega), Phase(*base))
 
 
 TRIG = {(1, 0): 0.5, (0, 1): 0.5}

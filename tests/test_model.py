@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewcmv.cli import config_from_doc, run
+from skewcmv.cocycle import scaling_factor
 from skewcmv.model import (
     DiophantineCertificate,
     Frequency,
@@ -26,10 +29,7 @@ from skewcmv.model import (
     verblunsky_orbit_batch,
     verblunsky_range,
 )
-
-
-def make_scheme(coeffs, lam, omega, base=(0.0, 0.0)):
-    return VerblunskyScheme(TrigPolynomial(coeffs), lam, Frequency(omega), Phase(*base))
+from schemes import make_scheme
 
 
 class TestSkewShift:
@@ -171,6 +171,123 @@ class TestVerblunsky:
         a = verblunsky_range(s, 0, 500)
         rho = np.sqrt(1 - np.abs(a) ** 2)
         assert np.all(rho > 0)
+
+
+def eager_rejects(sampler, coupling) -> bool:
+    """The construction rule that evaluates the 256x256 grid for every scheme."""
+    return not 0.0 <= coupling < 1.0 or coupling * sampler.grid_max(256) >= 1.0
+
+
+def builds(sampler, coupling) -> bool:
+    try:
+        VerblunskyScheme(sampler, coupling, Frequency(0.3), Phase(0.1, 0.2))
+    except SchemeError:
+        return False
+    return True
+
+
+def no_grid(self, side=256):
+    raise AssertionError("the sup-norm grid was evaluated")
+
+
+class TestCouplingCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        terms=st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        ell1=st.floats(0.5, 4.0),
+        near=st.sampled_from(["ell1", "grid", "anywhere"]),
+        rel=st.floats(-1e-9, 1e-9),
+        anywhere=st.floats(0.0, 1.2),
+    )
+    def test_decision_equals_eager_grid_rule(self, terms, ell1, near, rel, anywhere):
+        poly = TrigPolynomial({kl: r * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
+                               for kl, (r, t) in terms.items()})
+        poly = TrigPolynomial([(k, l, c * (ell1 / poly.ell1())) for k, l, c in poly.terms])
+        if near == "ell1":
+            coupling = (1.0 + rel) / poly.ell1()
+        elif near == "grid":
+            coupling = (1.0 + rel) / poly.grid_max(256)
+        else:
+            coupling = anywhere
+        assert builds(poly, coupling) == (not eager_rejects(poly, coupling))
+
+    @pytest.mark.parametrize("bound", ["ell1", "grid"])
+    def test_decision_at_exact_reciprocals(self, bound):
+        # (e^{2 pi i x} + e^{2 pi i y}) / 2 has grid max 1 + 1 ulp > ell1 = 1: the grid rejects 1 - 1 ulp
+        for coeffs in ({(1, 0): 0.5, (0, 1): 0.5}, {(1, 0): 0.6, (0, 1): 0.3, (2, 1): 0.1}, {(0, 0): 1.25}):
+            poly = TrigPolynomial(coeffs)
+            base = 1.0 / (poly.ell1() if bound == "ell1" else poly.grid_max(256))
+            for coupling in (base, math.nextafter(base, 0.0), math.nextafter(base, 2.0), base * (1 - 1e-12)):
+                assert builds(poly, coupling) == (not eager_rejects(poly, coupling))
+
+    def test_l1_proof_skips_the_grid(self, monkeypatch):
+        monkeypatch.setattr(TrigPolynomial, "grid_max", no_grid)
+        s = make_scheme({(1, 0): 0.6, (0, 1): 0.3, (2, 1): 0.1}, 0.95, 0.7182)
+        assert "grid_sup" not in vars(s)
+        with pytest.raises(AssertionError, match="grid was evaluated"):
+            s.grid_sup
+
+    def test_inconclusive_l1_evaluates_the_grid_at_construction(self):
+        # (1 + u - u^2) / 2 on |u| = 1 has sup sqrt(5)/2 < ell1 = 1.5: at coupling 0.8 only the grid proves the bound
+        s = make_scheme({(0, 0): 0.5, (1, 0): 0.5, (2, 0): -0.5}, 0.8, 0.3)
+        assert vars(s)["grid_sup"] == s.sampler.grid_max(256)
+        assert s.grid_sup == pytest.approx(math.sqrt(5) / 2, rel=1e-4)
+        with pytest.raises(SchemeError, match="coupling bound violated"):
+            make_scheme({(0, 0): 0.6, (1, 0): 0.6, (2, 0): -0.6}, 0.9, 0.3)
+
+    def test_lazy_grid_sup_is_bit_identical(self):
+        s = make_scheme({(1, 0): 0.6, (0, 1): 0.3, (2, 1): 0.1}, 0.95, 0.7182)
+        first = s.grid_sup
+        assert first == s.sampler.grid_max(256) and s.grid_sup is first
+        # value recorded when the grid was evaluated at construction
+        assert first == pytest.approx(0.9999728933152721, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize(
+        "coeffs, lam, value, sup_inv_rho",
+        [
+            ({(1, 0): 0.6, (0, 1): 0.3, (2, 1): 0.1}, 0.95, 7.150269657909766, 3.2017598322840106),
+            ({(1, 0): 0.5, (0, 1): 0.5}, 0.9, 3.4562538355716557, 2.2941573387056198),
+        ],
+    )
+    def test_scaling_factor_unchanged(self, coeffs, lam, value, sup_inv_rho):
+        s = make_scheme(coeffs, lam, 0.3)
+        sf = scaling_factor(s, 1.0)
+        grid = s.sampler.grid_max(256)
+        assert sf.sup_inv_rho == float((1.0 - lam**2 * grid**2) ** -0.5)
+        # values recorded when the grid was evaluated at construction
+        assert sf.value == pytest.approx(value, rel=1e-14, abs=0)
+        assert sf.sup_inv_rho == pytest.approx(sup_inv_rho, rel=1e-14, abs=0)
+
+    def test_oracle_tasks_never_evaluate_the_grid(self, monkeypatch):
+        monkeypatch.setattr(TrigPolynomial, "grid_max", no_grid)
+        for task in ("green-check", "detform-check", "davis-simon", "restriction-check"):
+            doc = {"task": task, "params": {"instances": 4}, "sampling": {"rng_seed": 2}}
+            rows, failures, _ = run(config_from_doc(doc))
+            assert failures == 0 and len(rows) == 4, task
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: Frequency(math.nan), "omega"),
+            (lambda: Frequency(-math.inf), "omega"),
+            (lambda: Phase(math.nan, 0.1), "Phase.x"),
+            (lambda: Phase(0.1, math.inf), "Phase.y"),
+            (lambda: TrigPolynomial({(1, 0): complex(math.nan, 0.0)}), "coefficient (1, 0)"),
+            (lambda: TrigPolynomial([(0, 2, complex(0.5, math.inf))]), "coefficient (0, 2)"),
+            (lambda: make_scheme({(1, 0): 0.5}, math.nan, 0.3), "coupling lambda"),
+            (lambda: scheme_from_json(json.dumps({"coefficients": [[1, 0, 0.5, 0.0]], "lambda": 0.5,
+                                                  "omega": 0.3, "base_x": 0.1, "base_y": math.nan})),
+             "base_y"),
+        ],
+    )
+    def test_non_finite_input_names_the_field(self, build, field):
+        with pytest.raises(SchemeError, match=re.escape(field)):
+            build()
 
 
 class TestDiophantine:
