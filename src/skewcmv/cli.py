@@ -17,6 +17,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +41,6 @@ from .lyapunov import (
 from .model import (
     Frequency,
     Phase,
-    SchemeError,
     TrigPolynomial,
     VerblunskyScheme,
     diophantine_margin,
@@ -98,6 +98,17 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+def _param(p: dict, key: str, default, kind=float):
+    """`p[key]`, or `default` when absent, converted by `kind`; ConfigError naming the key if not finite."""
+    try:
+        value = kind(p.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"params.{key}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"params.{key} must be finite, got {value}")
+    return value
+
+
 def _parse_z(value) -> complex:
     if isinstance(value, (list, tuple)):
         return complex(float(value[0]), float(value[1]))
@@ -112,7 +123,7 @@ def _z_list(params: dict) -> list:
     if "z_list" in params:
         return [_parse_z(v) for v in params["z_list"]]
     if "z_circle" in params:
-        k = int(params["z_circle"])
+        k = _param(params, "z_circle", None, int)
         return [np.exp(2j * np.pi * (i + 0.5) / k) for i in range(k)]
     return [_parse_z(params.get("z", [1.0, 0.0]))]
 
@@ -169,14 +180,10 @@ def _oncircle_z(rng, eigs, dist_min: float) -> complex:
 
 def _task_dio_check(cfg: ExperimentConfig, rng):
     p = cfg.params
-    omega = float(p.get("omega", cfg.scheme.frequency.omega if cfg.scheme else 0.5))
-    eps = float(p.get("epsilon", 0.1))
-    horizon = int(p.get("horizon", 10000))
-    try:
-        frequency = Frequency(omega)
-    except SchemeError as exc:
-        raise ConfigError(f"params.{exc}") from exc
-    cert = diophantine_margin(frequency, eps, horizon)
+    omega = _param(p, "omega", cfg.scheme.frequency.omega if cfg.scheme else 0.5)
+    eps = _param(p, "epsilon", 0.1)
+    horizon = _param(p, "horizon", 10000, int)
+    cert = diophantine_margin(Frequency(omega), eps, horizon)
     row = {
         "omega": omega,
         "epsilon": eps,
@@ -190,7 +197,7 @@ def _task_dio_check(cfg: ExperimentConfig, rng):
 
 def _task_lyapunov(cfg: ExperimentConfig, rng):
     p = cfg.params
-    n = int(p.get("n", 100))
+    n = _param(p, "n", 100, int)
     rows = []
     for z in _z_list(p):
         est = estimate_Ln(cfg.scheme, z, n, cfg.sampling)
@@ -230,8 +237,8 @@ def _task_ldt(cfg: ExperimentConfig, rng):
 def _task_avalanche(cfg: ExperimentConfig, rng):
     p = cfg.params
     mode = p.get("mode", "hyperbolic")
-    count = int(p.get("count", 50))
-    mu = float(p.get("mu", 1e3))
+    count = _param(p, "count", 50, int)
+    mu = _param(p, "mu", 1e3)
     if mode == "diagonal":
         mats = [np.diag([mu, 1.0 / mu]) for _ in range(count)]
     elif mode == "hyperbolic":
@@ -246,7 +253,7 @@ def _task_avalanche(cfg: ExperimentConfig, rng):
             raise ConfigError("scheme: avalanche cocycle mode requires a scheme")
         from .model import orbit_point
 
-        block = int(p.get("block", 40))
+        block = _param(p, "block", 40, int)
         z = _parse_z(p.get("z", [1.0, 0.0]))
         mats = []
         for j in range(count):
@@ -273,8 +280,8 @@ def _task_avalanche(cfg: ExperimentConfig, rng):
 
 def _task_multiscale(cfg: ExperimentConfig, rng):
     p = cfg.params
-    n = int(p.get("n", 10))
-    N = int(p.get("N", 100))
+    n = _param(p, "n", 10, int)
+    N = _param(p, "N", 100, int)
     z = _parse_z(p.get("z", [1.0, 0.0]))
     res = multiscale_residual(cfg.scheme, z, n, N, cfg.sampling)
     P = scaling_factor(cfg.scheme, z).value
@@ -296,7 +303,7 @@ def _task_multiscale(cfg: ExperimentConfig, rng):
 
 def _task_positivity(cfg: ExperimentConfig, rng):
     p = cfg.params
-    n = int(p.get("n", 200))
+    n = _param(p, "n", 200, int)
     z = _parse_z(p.get("z", [1.0, 0.0]))
     pm = positivity_margin(cfg.scheme, z, n, cfg.sampling)
     row = {
@@ -314,10 +321,10 @@ def _task_positivity(cfg: ExperimentConfig, rng):
 
 def _task_uniform_bound(cfg: ExperimentConfig, rng):
     p = cfg.params
-    n0 = int(p.get("n0", 50))
-    N = int(p.get("N", 500))
-    grid = int(p.get("grid_side", 32))
-    sigma0 = float(p.get("sigma0", 0.5))
+    n0 = _param(p, "n0", 50, int)
+    N = _param(p, "N", 500, int)
+    grid = _param(p, "grid_side", 32, int)
+    sigma0 = _param(p, "sigma0", 0.5)
     z = _parse_z(p.get("z", [1.0, 0.0]))
     rep = uniform_bound_check(cfg.scheme, z, n0, N, grid, sigma0)
     row = {
@@ -334,9 +341,9 @@ def _task_uniform_bound(cfg: ExperimentConfig, rng):
 
 def _task_green_check(cfg: ExperimentConfig, rng):
     p = cfg.params
-    instances = int(p.get("instances", 100))
-    max_size = int(p.get("max_size", 32))
-    tol = float(p.get("tolerance", 1e-8))
+    instances = _param(p, "instances", 100, int)
+    max_size = _param(p, "max_size", 32, int)
+    tol = _param(p, "tolerance", 1e-8)
     rows = []
     failures = 0
     for i in range(instances):
@@ -346,7 +353,7 @@ def _task_green_check(cfg: ExperimentConfig, rng):
         bc = BoundaryPair(_random_unimodular(rng), _random_unimodular(rng))
         w = assemble_window(s, (a, a + size - 1), bc)
         eigs = np.linalg.eigvals(w.matrix)
-        z = _oncircle_z(rng, eigs, float(p.get("dist_min", 1e-3)))
+        z = _oncircle_z(rng, eigs, _param(p, "dist_min", 1e-3))
         j = int(rng.integers(w.a, w.b + 1))
         k = int(rng.integers(j, w.b + 1))
         direct = abs(green_matrix(w, z).entry(j, k))
@@ -363,8 +370,8 @@ def _task_green_check(cfg: ExperimentConfig, rng):
 
 def _task_davis_simon(cfg: ExperimentConfig, rng):
     p = cfg.params
-    instances = int(p.get("instances", 200))
-    max_size = int(p.get("max_size", 32))
+    instances = _param(p, "instances", 200, int)
+    max_size = _param(p, "max_size", 32, int)
     rows = []
     failures = 0
     for i in range(instances):
@@ -387,8 +394,8 @@ def _task_davis_simon(cfg: ExperimentConfig, rng):
 
 def _task_restriction_check(cfg: ExperimentConfig, rng):
     p = cfg.params
-    instances = int(p.get("instances", 40))
-    tol = float(p.get("tolerance", 1e-8))
+    instances = _param(p, "instances", 40, int)
+    tol = _param(p, "tolerance", 1e-8)
     rows = []
     failures = 0
     parities = [(8, 24), (9, 25), (8, 25), (9, 24)]
@@ -418,8 +425,8 @@ def _task_restriction_check(cfg: ExperimentConfig, rng):
 
 def _task_spectrum(cfg: ExperimentConfig, rng):
     p = cfg.params
-    size = int(p.get("size", 64))
-    a = int(p.get("a", 0))
+    size = _param(p, "size", 64, int)
+    a = _param(p, "a", 0, int)
     bc = BoundaryPair(_parse_z(p.get("beta", [1.0, 0.0])), _parse_z(p.get("gamma", [1.0, 0.0])))
     w = assemble_window(cfg.scheme, (a, a + size - 1), bc)
     pairs = window_spectrum(w)
@@ -441,16 +448,16 @@ def _eigenpair_ok(value: complex, residual: float, bc: BoundaryPair) -> bool:
 
 def _task_localize(cfg: ExperimentConfig, rng):
     p = cfg.params
-    size = int(p.get("size", 128))
+    size = _param(p, "size", 128, int)
     bc = BoundaryPair(_parse_z(p.get("beta", [1.0, 0.0])), _parse_z(p.get("gamma", [1.0, 0.0])))
     reports = localization_scan(
         cfg.scheme,
         size,
         bc,
         cfg.sampling,
-        rate_factor=float(p.get("rate_factor", 0.5)),
-        r2_min=float(p.get("r2_min", 0.9)),
-        scale=int(p["scale"]) if "scale" in p else None,
+        rate_factor=_param(p, "rate_factor", 0.5),
+        r2_min=_param(p, "r2_min", 0.9),
+        scale=_param(p, "scale", None, int) if "scale" in p else None,
     )
     rows = [
         {
@@ -475,10 +482,10 @@ def _task_localize(cfg: ExperimentConfig, rng):
 
 def _task_detform_check(cfg: ExperimentConfig, rng):
     p = cfg.params
-    instances = int(p.get("instances", 100))
-    n_min = int(p.get("n_min", 2))
-    n_max = int(p.get("n_max", 12))
-    tol = float(p.get("tolerance", 1e-8))
+    instances = _param(p, "instances", 100, int)
+    n_min = _param(p, "n_min", 2, int)
+    n_max = _param(p, "n_max", 12, int)
+    tol = _param(p, "tolerance", 1e-8)
     rows = []
     failures = 0
     for i in range(instances):

@@ -6,8 +6,15 @@ positions: alpha_{a-1} -> beta and alpha_b -> gamma.  Unimodular beta, gamma
 set rho = 0 at the cuts, decouple the window from the rest of the lattice, and
 make the window unitary with an exact factorization E = L M into direct sums of
 2x2 blocks (even-indexed blocks in L, odd-indexed in M; parity is anchored to
-the absolute lattice index).  Windows are stored dense: desk-scale sizes make
-dense storage and dense eigensolvers adequate.
+the absolute lattice index).
+
+Every window comes from one builder, `_window_band`.  From the coefficients
+alpha_{a-1} .. alpha_b, the only ones E over [a, b] reads, and a substitution
+map it forms all Theta blocks at once and then E's five diagonals (Cantero,
+Moral & Velazquez 2003), each entry a single product L[i, k] M[k, j], in the
+LAPACK band layout the banded solvers take.  The dense E, L and M that dense
+eigensolvers, export and the dense oracles need are scattered from the
+diagonals and the blocks on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,10 +43,26 @@ __all__ = [
 ]
 
 _UNIMODULAR_TOL = 1e-12
+# half-bandwidth of E; the band layout is band[2 * _BAND + i - j, j] = E[i, j], and its
+# top _BAND rows stay zero for the fill-in of a banded LU (`gbsv`)
+_BAND = 2
 
 
 class CoefficientError(ValueError):
     """Raised for coefficients outside the closed unit disk."""
+
+
+def _theta(alphas) -> np.ndarray:
+    """Blocks [[conj(alpha), rho], [rho, -alpha]] for every alpha at once, shape alphas.shape + (2, 2)."""
+    alphas = np.asarray(alphas, dtype=complex)
+    a2 = np.abs(alphas) ** 2
+    if (a2 > 1.0 + 4e-16).any():
+        raise CoefficientError(f"|alpha| = {np.sqrt(np.max(a2)):.6f} > 1")
+    th = np.empty(alphas.shape + (2, 2), dtype=complex)
+    th[..., 0, 0] = alphas.conj()
+    th[..., 0, 1] = th[..., 1, 0] = np.sqrt(np.maximum(1.0 - a2, 0.0))
+    th[..., 1, 1] = -alphas
+    return th
 
 
 def theta_block(alpha: complex) -> np.ndarray:
@@ -46,12 +70,77 @@ def theta_block(alpha: complex) -> np.ndarray:
 
     Unitary for |alpha| <= 1; |alpha| = 1 gives rho = 0 and decouples the two sites.
     """
-    alpha = complex(alpha)
-    a2 = abs(alpha) ** 2
-    if a2 > 1.0 + 4e-16:
-        raise CoefficientError(f"|alpha| = {abs(alpha):.6f} > 1")
-    rho = float(np.sqrt(max(1.0 - a2, 0.0)))
-    return np.array([[np.conj(alpha), rho], [rho, -alpha]], dtype=complex)
+    return _theta(complex(alpha))
+
+
+def _window_band(alphas, a: int, substitutions: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """E over [a, b] in band layout, and the Theta blocks, from alphas[m] = alpha_{a-1+m}, m = 0 .. b-a+1.
+
+    `substitutions` maps lattice sites to replacement coefficients; sites
+    outside a-1 .. b do not enter E and are ignored.  Each L block, at an even
+    site p, gives rows p and p+1 of E = L M: L[p:p+2, p] M[p, p-1:p+1] in
+    columns p-1, p and L[p:p+2, p+1] M[p+1, p+1:p+3] in columns p+1, p+2, each
+    entry a single product.  Entries falling outside [a, b] are dropped.
+    """
+    alphas = np.array(alphas, dtype=complex)
+    for site, value in (substitutions or {}).items():
+        if 0 <= site - (a - 1) < len(alphas):
+            alphas[site - (a - 1)] = value
+    blocks = _theta(alphas)
+    n = len(alphas) - 1
+    # T[m] is the block at site a-2+m; the zero blocks at a-2 and b+1 only reach dropped entries
+    T = np.zeros((n + 3, 2, 2), dtype=complex)
+    T[1:-1] = blocks
+    e = 2 - a % 2  # T[e] is the first L block, at site a or a-1
+    Lb, Ml, Mr = T[e : n + 2 : 2], T[e - 1 : n + 1 : 2], T[e + 1 : n + 3 : 2]
+    cols = np.concatenate([Lb[:, :, :1] * Ml[:, None, 1], Lb[:, :, 1:] * Mr[:, None, 0]], axis=2)
+    # rows[p + di, 2 + d] = E[p + di, p + di + d]: columns p-1 .. p+2 are offsets -1 .. 2 of row p, -2 .. 1 of row p+1
+    rows = np.zeros((len(Lb), 2, 5), dtype=complex)
+    rows[:, 0, 1:] = cols[:, 0]
+    rows[:, 1, :4] = cols[:, 1]
+    rows = rows.reshape(-1, 5)[a % 2 : a % 2 + n]  # the first L block's rows start at a - a % 2
+    band = np.zeros((3 * _BAND + 1, n), dtype=complex)
+    for d in range(-_BAND, _BAND + 1):
+        band[2 * _BAND - d, max(d, 0) : n + min(d, 0)] = rows[max(-d, 0) : n - max(d, 0), 2 + d]
+    return band, blocks
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The dense matrix of a band layout."""
+    n = band.shape[1]
+    E = np.zeros((n, n), dtype=complex)
+    flat = E.reshape(-1)
+    for k in range(-_BAND, _BAND + 1):  # E[j + k, j] for j0 <= j < j1, a stride of n + 1 in `flat`
+        j0, j1 = max(-k, 0), n - max(k, 0)
+        flat[(j0 + k) * n + j0 :: n + 1][: j1 - j0] = band[2 * _BAND + k, j0:j1]
+    return E
+
+
+def _band_dot(band: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """E X for a 2-D X, from the band layout of E."""
+    n = len(X)
+    out = np.zeros(X.shape, dtype=complex)
+    for k in range(-_BAND, _BAND + 1):  # out[i] += E[i, i - k] X[i - k]
+        lo, hi = max(k, 0), n + min(k, 0)
+        out[lo:hi] += band[2 * _BAND + k, lo - k : hi - k, None] * X[lo - k : hi - k]
+    return out
+
+
+def _direct_sum(blocks: np.ndarray, a: int, parity: int) -> np.ndarray:
+    """Dense direct sum over [a, b] of the blocks at the sites of `parity`, cut at the window's edges.
+
+    `blocks[m]` sits at lattice site a-1+m.  The selected blocks make a
+    block-diagonal matrix over the sites from a-1+m0 on, which is cut back to [a, b].
+    """
+    n = len(blocks) - 1
+    m0 = (a - 1 - parity) % 2  # the first selected block, at site a-1 or a
+    sel = blocks[m0::2]
+    k = np.arange(len(sel))
+    D = np.zeros((len(sel), 2, len(sel), 2), dtype=complex)
+    D[k, :, k, :] = sel
+    D = D.reshape(2 * len(sel), 2 * len(sel))
+    s = 1 - m0  # the row of site a in D
+    return D[s : s + n, s : s + n]
 
 
 @dataclass(frozen=True)
@@ -80,39 +169,6 @@ class BoundaryPair:
         )
 
 
-def _build_lm(alpha_of, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense L, M over lattice sites [lo, hi] from the coefficient lookup alpha_of(n).
-
-    L collects the blocks anchored at even n (coupling sites n, n+1), M the odd
-    ones; blocks sticking out of [lo, hi] are truncated.
-    """
-    size = hi - lo + 1
-    L = np.zeros((size, size), dtype=complex)
-    M = np.zeros((size, size), dtype=complex)
-    for n in range(lo - 1, hi + 1):
-        th = theta_block(alpha_of(n))
-        tgt = L if n % 2 == 0 else M
-        for di in (0, 1):
-            i = n + di - lo
-            if not 0 <= i < size:
-                continue
-            for dj in (0, 1):
-                j = n + dj - lo
-                if 0 <= j < size:
-                    tgt[i, j] = th[di, dj]
-    return L, M
-
-
-def _padded_product(alpha_of, a: int, b: int) -> np.ndarray:
-    """Submatrix over [a, b] of the infinite product L M, via a one-site padding.
-
-    Interior entries of the product only involve blocks anchored in [a-1, b], so
-    padding by one site on each side and cutting back is exact.
-    """
-    Lp, Mp = _build_lm(alpha_of, a - 1, b + 1)
-    return (Lp @ Mp)[1:-1, 1:-1]
-
-
 def scheme_submatrix(
     s: VerblunskyScheme, a: int, b: int, substitutions: dict | None = None
 ) -> np.ndarray:
@@ -122,18 +178,7 @@ def scheme_submatrix(
     (used for boundary modifications and for the determinant identities, where
     sub-windows keep raw coefficients at the inner cuts).
     """
-    subs = substitutions or {}
-    lo, hi = a - 2, b + 1
-    raw = verblunsky_range(s, lo, hi)
-
-    def alpha_of(n):
-        if n in subs:
-            return subs[n]
-        if lo <= n <= hi:
-            return raw[n - lo]
-        return 0.0
-
-    return _padded_product(alpha_of, a, b)
+    return _dense(_window_band(verblunsky_range(s, a - 1, b), a, substitutions)[0])
 
 
 @dataclass(frozen=True)
@@ -143,6 +188,9 @@ class CMVWindow:
     `raw_alphas` holds the scheme's unmodified coefficients on [a-1, b]
     (needed by the determinant identities and the boundary-value formulas);
     the effective sequence replaces the values at a-1 and b by beta and gamma.
+    `band` holds E's five diagonals and `blocks` the Theta blocks of the
+    effective sequence; the dense `matrix` (E), `L` and `M` are made from them
+    on first use.
     """
 
     a: int
@@ -150,15 +198,27 @@ class CMVWindow:
     beta: complex
     gamma: complex
     raw_alphas: np.ndarray  # scheme values on lattice sites a-1 .. b
-    matrix: np.ndarray      # E = submatrix of the modified operator
-    L: np.ndarray
-    M: np.ndarray
+    band: np.ndarray        # E in band layout, band[2 * _BAND + i - j, j] = E[i, j]
+    blocks: np.ndarray      # Theta blocks of the effective coefficients on a-1 .. b
     unimodular: bool
     scheme_ref: str = ""
 
     @property
     def size(self) -> int:
         return self.b - self.a + 1
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """E = submatrix of the modified operator."""
+        return _dense(self.band)
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        return _direct_sum(self.blocks, self.a, 0)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return _direct_sum(self.blocks, self.a, 1)
 
     def raw_alpha(self, n: int) -> complex:
         if not self.a - 1 <= n <= self.b:
@@ -183,27 +243,15 @@ def assemble_window(s: VerblunskyScheme, interval, bc: BoundaryPair) -> CMVWindo
     if b - a + 1 < 2:
         raise ValueError("window size must be >= 2")
     raw = verblunsky_range(s, a - 1, b)
-
-    def alpha_of(n):
-        if n == a - 1:
-            return bc.beta
-        if n == b:
-            return bc.gamma
-        if a - 1 <= n <= b:
-            return raw[n - (a - 1)]
-        return 0.0
-
-    E = _padded_product(alpha_of, a, b)
-    L, M = _build_lm(alpha_of, a, b)
+    band, blocks = _window_band(raw, a, {a - 1: bc.beta, b: bc.gamma})
     return CMVWindow(
         a=a,
         b=b,
         beta=bc.beta,
         gamma=bc.gamma,
         raw_alphas=raw,
-        matrix=E,
-        L=L,
-        M=M,
+        band=band,
+        blocks=blocks,
         unimodular=bc.unimodular,
         scheme_ref=scheme_hash(s),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cmv import CMVWindow
+from .cmv import CMVWindow, _band_dot, _dense, _window_band
 
 __all__ = [
     "SpectrumError",
@@ -68,29 +68,17 @@ def green_matrix(window: CMVWindow, z: complex, residual_tol: float = 1e-6) -> G
     return GreenMatrix(window, z, G, residual)
 
 
-def _logabs_charpoly(window: CMVWindow, lo: int, hi: int, z: complex, side: str) -> float:
-    """log |det(z - E_sub)| for the sub-window [lo, hi]; empty intervals give 0.
+def _logabs_charpoly(window: CMVWindow, lo: int, hi: int, z: complex) -> float:
+    """log |det(z - E_sub)| for the sub-window [lo, hi] of the window; empty intervals give 0.
 
-    side = "left" keeps the window's beta substitution at a-1; side = "right"
-    keeps gamma at b; the inner cut keeps the raw coefficient.
+    A sub-window reaching a cut keeps the window's beta at a-1 or gamma at b;
+    an inner cut keeps the raw coefficient.
     """
     if hi < lo:
         return 0.0
-    size = hi - lo + 1
-
-    def alpha_of(n):
-        if side == "left" and n == window.a - 1:
-            return window.beta
-        if side == "right" and n == window.b:
-            return window.gamma
-        if window.a - 1 <= n <= window.b:
-            return window.raw_alpha(n)
-        return 0.0
-
-    from .cmv import _padded_product
-
-    E = _padded_product(alpha_of, lo, hi)
-    sign, logdet = np.linalg.slogdet(z * np.eye(size) - E)
+    cuts = {window.a - 1: window.beta, window.b: window.gamma}
+    band, _ = _window_band(window.raw_alphas[lo - window.a : hi - window.a + 2], lo, cuts)
+    sign, logdet = np.linalg.slogdet(z * np.eye(hi - lo + 1) - _dense(band))
     if sign == 0:
         return -np.inf
     return float(logdet)
@@ -115,8 +103,8 @@ def green_entry_via_polys(window: CMVWindow, j: int, k: int, z: complex) -> floa
         j, k = k, j  # G is symmetric
     if not (window.a <= j and k <= window.b):
         raise IndexError(f"indices ({j}, {k}) outside window [{window.a}, {window.b}]")
-    log_left = _logabs_charpoly(window, window.a, j - 1, z, "left")
-    log_right = _logabs_charpoly(window, k + 1, window.b, z, "right")
+    log_left = _logabs_charpoly(window, window.a, j - 1, z)
+    log_right = _logabs_charpoly(window, k + 1, window.b, z)
     sign, log_full = np.linalg.slogdet(z * np.eye(window.size) - window.matrix)
     if sign == 0:
         raise SpectrumError("z is in the window spectrum")
@@ -255,19 +243,9 @@ def tilde_boundary_values(window: CMVWindow, z: complex, psi_a, psi_a1, psi_b, p
 
 def _check_eigen_sequence(window: CMVWindow, z: complex, psi: np.ndarray, tol: float) -> None:
     """Verify E psi = z psi on the interior rows a+1 .. b-1 of the raw operator."""
-    a, b = window.a, window.b
-
-    def alpha_of(n):
-        if a - 1 <= n <= b:
-            return window.raw_alpha(n)
-        return 0.0
-
-    from .cmv import _build_lm
-
-    # raw rows over [a-1, b+1]; rows a+1..b-1 of the product are exact there
-    L, M = _build_lm(alpha_of, a - 1, b + 1)
-    E = L @ M
-    resid = E @ psi - z * psi
+    # raw rows over [a-1, b+1]; rows a+1 .. b-1 read only alpha_{a-1} .. alpha_b, so the padding is free
+    band, _ = _window_band(np.pad(window.raw_alphas, 1), window.a - 1)
+    resid = _band_dot(band, psi[:, None])[:, 0] - z * psi
     worst = float(np.max(np.abs(resid[2:-2]))) if len(resid) > 4 else float(np.max(np.abs(resid)))
     if worst > tol:
         raise SolutionError(f"eigen-equation residual {worst:.3e} > {tol:.0e} on the interior")

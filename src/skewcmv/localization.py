@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cmv import BoundaryPair, CMVWindow, assemble_window
+from .cmv import _BAND, BoundaryPair, CMVWindow, _band_dot, assemble_window
 from .lyapunov import SamplingConfig, estimate_Ln_many
 from .model import VerblunskyScheme
 
@@ -40,8 +40,6 @@ class EigenPair:
 
 # cos values of H = (E + E*)/2 closer than this many mean spacings (2/N) share a Ritz step
 _CLUSTER_SPACINGS = 0.3
-# half-bandwidth of E, which is five-diagonal (Cantero, Moral & Velazquez 2003)
-_BAND = 2
 # columns per block when forming E V, which bounds the temporaries to N x 64
 _COLUMN_BLOCK = 64
 
@@ -55,8 +53,7 @@ def window_spectrum(window: CMVWindow) -> list:
     Other windows are not normal and take dense `eig`.  The per-pair residual
     ||E v - w v|| is recorded.
     """
-    E = window.matrix
-    ab = _band(E)
+    E, ab = window.matrix, window.band
     try:
         if window.unimodular:
             V = _normal_eigvecs(E, ab)
@@ -106,30 +103,6 @@ def _normal_eigvecs(E: np.ndarray, ab: np.ndarray) -> np.ndarray:
         if info == 0:  # info > 0: an exactly zero pivot, the shift is an eigenvalue to working precision; v stays
             V[:, i] = x / np.linalg.norm(x)
     return V
-
-
-def _band(E: np.ndarray) -> np.ndarray:
-    """The five diagonals of E in LAPACK band layout, ab[2*_BAND + i - j, j] = E[i, j].
-
-    The top _BAND rows are left zero for the fill-in of `gbsv`.
-    """
-    n = len(E)
-    ab = np.zeros((3 * _BAND + 1, n), dtype=complex)
-    for k in range(-_BAND, _BAND + 1):  # k = i - j
-        ab[2 * _BAND + k, max(-k, 0) : n - max(k, 0)] = np.diagonal(E, -k)
-    if np.count_nonzero(ab) != np.count_nonzero(E):
-        raise ValueError(f"window matrix has entries beyond its {2 * _BAND + 1} central diagonals")
-    return ab
-
-
-def _band_dot(ab: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """E X from the band layout of E."""
-    n = len(X)
-    out = np.zeros(X.shape, dtype=complex)
-    for k in range(-_BAND, _BAND + 1):  # out[i] += E[i, i - k] X[i - k]
-        lo, hi = max(k, 0), n + min(k, 0)
-        out[lo:hi] += ab[2 * _BAND + k, lo - k : hi - k, None] * X[lo - k : hi - k]
-    return out
 
 
 def _residuals(ab: np.ndarray, V: np.ndarray, w: np.ndarray | None = None) -> tuple:

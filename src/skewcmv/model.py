@@ -115,7 +115,11 @@ class TrigPolynomial:
                 if c != 0
             )
         else:
-            terms = tuple(sorted((int(k), int(l), complex(c)) for k, l, c in coefficients if c != 0))
+            rows = sorted(((int(k), int(l), complex(c)) for k, l, c in coefficients), key=lambda r: r[:2])
+            for (k, l, _), nxt in zip(rows, rows[1:]):
+                if (k, l) == nxt[:2]:
+                    raise SchemeError(f"coefficient ({k}, {l}) is given twice")
+            terms = tuple(r for r in rows if r[2] != 0)
         for k, l, c in terms:
             if not cmath.isfinite(c):
                 raise SchemeError(f"coefficient ({k}, {l}) must be finite, got {c}")

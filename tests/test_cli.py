@@ -62,6 +62,7 @@ class TestConfig:
             ("base_x", math.nan, "base_x"),
             ("coefficients", [[1, 0, math.inf, 0.0]], "coefficient (1, 0)"),
             ("coefficients", [[1, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]], "coupling bound violated"),
+            ("coefficients", [[1, 0, 0.5, 0.0], [1, 0, 0.25, 0.0]], "coefficient (1, 0) is given twice"),
         ],
     )
     def test_bad_scheme_exits_with_status_2(self, tmp_path, capsys, key, value, field):
@@ -73,6 +74,20 @@ class TestConfig:
             main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
         assert f"scheme: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "task, key, value",
+        [("lyapunov", "n", math.nan), ("lyapunov", "z_circle", "four"), ("green-check", "tolerance", math.inf),
+         ("localize", "scale", math.nan)],
+    )
+    def test_bad_param_exits_with_status_2(self, tmp_path, capsys, task, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc(task, {key: value})))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert f"params.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_non_finite_dio_check_omega_rejected(self):

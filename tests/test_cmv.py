@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewcmv.cmv import (
@@ -10,13 +10,50 @@ from skewcmv.cmv import (
     CoefficientError,
     assemble_window,
     char_poly,
+    _band_dot,
     export_window,
+    scheme_submatrix,
     theta_block,
     window_metadata,
     window_to_matrixmarket,
 )
 from skewcmv.model import verblunsky_range
 from schemes import make_scheme, random_scheme
+
+
+def dense_lm(alpha_of, lo, hi):
+    """Reference: dense L, M over lattice sites [lo, hi] from the lookup alpha_of(n), one theta_block per site.
+
+    L collects the blocks anchored at even n (coupling sites n, n+1), M the odd
+    ones; blocks sticking out of [lo, hi] are truncated.
+    """
+    size = hi - lo + 1
+    L = np.zeros((size, size), dtype=complex)
+    M = np.zeros((size, size), dtype=complex)
+    for n in range(lo - 1, hi + 1):
+        th = theta_block(alpha_of(n))
+        tgt = L if n % 2 == 0 else M
+        for di in (0, 1):
+            for dj in (0, 1):
+                i, j = n + di - lo, n + dj - lo
+                if 0 <= i < size and 0 <= j < size:
+                    tgt[i, j] = th[di, dj]
+    return L, M
+
+
+def padded_product(alpha_of, a, b):
+    """Reference: the submatrix over [a, b] of the infinite product L M, as a dense product padded by one site."""
+    Lp, Mp = dense_lm(alpha_of, a - 1, b + 1)
+    return (Lp @ Mp)[1:-1, 1:-1]
+
+
+def lookup(values, lo, substitutions):
+    """alpha_of(n): substitutions first, then values[n - lo] on the stored sites, 0 elsewhere."""
+    def alpha_of(n):
+        if n in substitutions:
+            return substitutions[n]
+        return values[n - lo] if lo <= n < lo + len(values) else 0.0
+    return alpha_of
 
 
 def random_window(rng, s, min_size=8, max_size=128):
@@ -128,6 +165,52 @@ class TestWindowAssembly:
         s = make_scheme({(1, 0): 0.5}, 0.5, 0.3)
         with pytest.raises(ValueError):
             assemble_window(s, (3, 3), BoundaryPair(1.0, 1.0))
+
+
+class TestBuilderAgainstDenseReference:
+    """The banded builder against the dense L M product it replaced, to rounding (<= 1e-15)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        a=st.integers(-6, 6),
+        size=st.integers(2, 128),
+        radii=st.tuples(st.just(1.0) | st.floats(0.0, 1.0), st.just(1.0) | st.floats(0.0, 1.0)),
+        site=st.integers(-1, 128),
+    )
+    @example(seed=0, a=-3, size=2, radii=(1.0, 1.0), site=0)     # odd a, even b
+    @example(seed=1, a=5, size=9, radii=(0.3, 1.0), site=-1)     # odd a, odd b, non-unimodular
+    @example(seed=2, a=-4, size=3, radii=(1.0, 0.0), site=3)     # even a, even b
+    @example(seed=3, a=2, size=128, radii=(0.7, 0.2), site=127)  # even a, odd b
+    def test_matches_padded_dense_product(self, seed, a, size, radii, site):
+        rng = np.random.default_rng(seed)
+        s = random_scheme(rng, max_coupling=0.92)
+        b = a + size - 1
+        beta, gamma = (r * np.exp(2j * np.pi * rng.random()) for r in radii)
+        w = assemble_window(s, (a, b), BoundaryPair(beta, gamma))
+        alpha_of = lookup(verblunsky_range(s, a - 1, b), a - 1, {a - 1: w.beta, b: w.gamma})
+        L, M = dense_lm(alpha_of, a, b)
+        assert np.max(np.abs(w.matrix - padded_product(alpha_of, a, b))) <= 1e-15
+        assert np.max(np.abs(w.L - L)) <= 1e-15
+        assert np.max(np.abs(w.M - M)) <= 1e-15
+        i, j = np.indices(w.matrix.shape)
+        assert np.all(w.matrix[np.abs(i - j) > 2] == 0.0)
+        X = rng.standard_normal((size, 3)) + 1j * rng.standard_normal((size, 3))
+        assert np.max(np.abs(_band_dot(w.band, X) - w.matrix @ X)) <= 1e-14
+
+        # a raw submatrix with one interior or cut site substituted, plus one site that never enters
+        subs = {a - 1 + site % (size + 1): 0.6 * np.exp(1j * site), b + 5: 0.1}
+        raw = lookup(verblunsky_range(s, a - 2, b + 1), a - 2, subs)
+        E = scheme_submatrix(s, a, b, subs)
+        assert np.max(np.abs(E - padded_product(raw, a, b))) <= 1e-15
+        assert np.all(E[np.abs(i - j) > 2] == 0.0)
+
+    @pytest.mark.parametrize("site", [-1, 3, 7])  # the left cut, an interior site, the right cut of [0, 7]
+    def test_substituted_coefficient_outside_disk_rejected(self, site):
+        s = make_scheme({(1, 0): 0.5}, 0.5, 0.3)
+        with pytest.raises(CoefficientError):
+            scheme_submatrix(s, 0, 7, {site: (1.0 + 1e-15) * np.exp(0.4j)})
+        scheme_submatrix(s, 0, 7, {site: np.exp(0.4j)})  # the unit circle itself is allowed
 
 
 class TestCharPoly:

@@ -289,6 +289,17 @@ class TestCouplingCertificate:
         with pytest.raises(SchemeError, match=re.escape(field)):
             build()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 0, 0.5), (0, 1, 0.3), (1, 0, 0.25)],  # different coefficients: once a TypeError from the sort
+            [(1, 0, 0.5), (1, 0, 0.5)],  # equal rows: once both kept, so ell1() read 1.0
+        ],
+    )
+    def test_repeated_term_names_the_pair(self, rows):
+        with pytest.raises(SchemeError, match=re.escape("coefficient (1, 0) is given twice")):
+            TrigPolynomial(rows)
+
 
 class TestDiophantine:
     def test_half_gives_zero_margin(self):
