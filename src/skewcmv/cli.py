@@ -98,14 +98,16 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-def _param(p: dict, key: str, default, kind=float):
-    """`p[key]`, or `default` when absent, converted by `kind`; ConfigError naming the key if not finite."""
+def _param(p: dict, key: str, default, kind=float, lo=None):
+    """`p[key]`, or `default` when absent, converted by `kind`; ConfigError naming the key if not finite or below `lo`."""
     try:
         value = kind(p.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"params.{key}: {exc}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"params.{key} must be finite, got {value}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"params.{key} must be >= {lo}, got {value}")
     return value
 
 
@@ -123,7 +125,7 @@ def _z_list(params: dict) -> list:
     if "z_list" in params:
         return [_parse_z(v) for v in params["z_list"]]
     if "z_circle" in params:
-        k = _param(params, "z_circle", None, int)
+        k = _param(params, "z_circle", None, int, lo=1)
         return [np.exp(2j * np.pi * (i + 0.5) / k) for i in range(k)]
     return [_parse_z(params.get("z", [1.0, 0.0]))]
 
@@ -182,7 +184,7 @@ def _task_dio_check(cfg: ExperimentConfig, rng):
     p = cfg.params
     omega = _param(p, "omega", cfg.scheme.frequency.omega if cfg.scheme else 0.5)
     eps = _param(p, "epsilon", 0.1)
-    horizon = _param(p, "horizon", 10000, int)
+    horizon = _param(p, "horizon", 10000, int, lo=1)
     cert = diophantine_margin(Frequency(omega), eps, horizon)
     row = {
         "omega": omega,
@@ -197,7 +199,7 @@ def _task_dio_check(cfg: ExperimentConfig, rng):
 
 def _task_lyapunov(cfg: ExperimentConfig, rng):
     p = cfg.params
-    n = _param(p, "n", 100, int)
+    n = _param(p, "n", 100, int, lo=1)
     rows = []
     for z in _z_list(p):
         est = estimate_Ln(cfg.scheme, z, n, cfg.sampling)
@@ -237,7 +239,7 @@ def _task_ldt(cfg: ExperimentConfig, rng):
 def _task_avalanche(cfg: ExperimentConfig, rng):
     p = cfg.params
     mode = p.get("mode", "hyperbolic")
-    count = _param(p, "count", 50, int)
+    count = _param(p, "count", 50, int, lo=3)
     mu = _param(p, "mu", 1e3)
     if mode == "diagonal":
         mats = [np.diag([mu, 1.0 / mu]) for _ in range(count)]
@@ -253,7 +255,7 @@ def _task_avalanche(cfg: ExperimentConfig, rng):
             raise ConfigError("scheme: avalanche cocycle mode requires a scheme")
         from .model import orbit_point
 
-        block = _param(p, "block", 40, int)
+        block = _param(p, "block", 40, int, lo=1)
         z = _parse_z(p.get("z", [1.0, 0.0]))
         mats = []
         for j in range(count):
@@ -280,8 +282,8 @@ def _task_avalanche(cfg: ExperimentConfig, rng):
 
 def _task_multiscale(cfg: ExperimentConfig, rng):
     p = cfg.params
-    n = _param(p, "n", 10, int)
-    N = _param(p, "N", 100, int)
+    n = _param(p, "n", 10, int, lo=1)
+    N = _param(p, "N", 100, int, lo=n * n)
     z = _parse_z(p.get("z", [1.0, 0.0]))
     res = multiscale_residual(cfg.scheme, z, n, N, cfg.sampling)
     P = scaling_factor(cfg.scheme, z).value
@@ -303,7 +305,7 @@ def _task_multiscale(cfg: ExperimentConfig, rng):
 
 def _task_positivity(cfg: ExperimentConfig, rng):
     p = cfg.params
-    n = _param(p, "n", 200, int)
+    n = _param(p, "n", 200, int, lo=1)
     z = _parse_z(p.get("z", [1.0, 0.0]))
     pm = positivity_margin(cfg.scheme, z, n, cfg.sampling)
     row = {
@@ -321,9 +323,9 @@ def _task_positivity(cfg: ExperimentConfig, rng):
 
 def _task_uniform_bound(cfg: ExperimentConfig, rng):
     p = cfg.params
-    n0 = _param(p, "n0", 50, int)
-    N = _param(p, "N", 500, int)
-    grid = _param(p, "grid_side", 32, int)
+    n0 = _param(p, "n0", 50, int, lo=1)
+    N = _param(p, "N", 500, int, lo=n0 + 1)
+    grid = _param(p, "grid_side", 32, int, lo=1)
     sigma0 = _param(p, "sigma0", 0.5)
     z = _parse_z(p.get("z", [1.0, 0.0]))
     rep = uniform_bound_check(cfg.scheme, z, n0, N, grid, sigma0)
@@ -341,8 +343,8 @@ def _task_uniform_bound(cfg: ExperimentConfig, rng):
 
 def _task_green_check(cfg: ExperimentConfig, rng):
     p = cfg.params
-    instances = _param(p, "instances", 100, int)
-    max_size = _param(p, "max_size", 32, int)
+    instances = _param(p, "instances", 100, int, lo=1)
+    max_size = _param(p, "max_size", 32, int, lo=4)
     tol = _param(p, "tolerance", 1e-8)
     rows = []
     failures = 0
@@ -370,8 +372,8 @@ def _task_green_check(cfg: ExperimentConfig, rng):
 
 def _task_davis_simon(cfg: ExperimentConfig, rng):
     p = cfg.params
-    instances = _param(p, "instances", 200, int)
-    max_size = _param(p, "max_size", 32, int)
+    instances = _param(p, "instances", 200, int, lo=1)
+    max_size = _param(p, "max_size", 32, int, lo=2)
     rows = []
     failures = 0
     for i in range(instances):
@@ -394,7 +396,7 @@ def _task_davis_simon(cfg: ExperimentConfig, rng):
 
 def _task_restriction_check(cfg: ExperimentConfig, rng):
     p = cfg.params
-    instances = _param(p, "instances", 40, int)
+    instances = _param(p, "instances", 40, int, lo=1)
     tol = _param(p, "tolerance", 1e-8)
     rows = []
     failures = 0
@@ -425,7 +427,7 @@ def _task_restriction_check(cfg: ExperimentConfig, rng):
 
 def _task_spectrum(cfg: ExperimentConfig, rng):
     p = cfg.params
-    size = _param(p, "size", 64, int)
+    size = _param(p, "size", 64, int, lo=2)
     a = _param(p, "a", 0, int)
     bc = BoundaryPair(_parse_z(p.get("beta", [1.0, 0.0])), _parse_z(p.get("gamma", [1.0, 0.0])))
     w = assemble_window(cfg.scheme, (a, a + size - 1), bc)
@@ -448,7 +450,7 @@ def _eigenpair_ok(value: complex, residual: float, bc: BoundaryPair) -> bool:
 
 def _task_localize(cfg: ExperimentConfig, rng):
     p = cfg.params
-    size = _param(p, "size", 128, int)
+    size = _param(p, "size", 128, int, lo=64)
     bc = BoundaryPair(_parse_z(p.get("beta", [1.0, 0.0])), _parse_z(p.get("gamma", [1.0, 0.0])))
     reports = localization_scan(
         cfg.scheme,
@@ -457,7 +459,7 @@ def _task_localize(cfg: ExperimentConfig, rng):
         cfg.sampling,
         rate_factor=_param(p, "rate_factor", 0.5),
         r2_min=_param(p, "r2_min", 0.9),
-        scale=_param(p, "scale", None, int) if "scale" in p else None,
+        scale=_param(p, "scale", None, int, lo=1) if "scale" in p else None,
     )
     rows = [
         {
@@ -482,9 +484,9 @@ def _task_localize(cfg: ExperimentConfig, rng):
 
 def _task_detform_check(cfg: ExperimentConfig, rng):
     p = cfg.params
-    instances = _param(p, "instances", 100, int)
-    n_min = _param(p, "n_min", 2, int)
-    n_max = _param(p, "n_max", 12, int)
+    instances = _param(p, "instances", 100, int, lo=1)
+    n_min = _param(p, "n_min", 2, int, lo=2)
+    n_max = _param(p, "n_max", 12, int, lo=n_min)
     tol = _param(p, "tolerance", 1e-8)
     rows = []
     failures = 0

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cmv import CMVWindow, _band_dot, _dense, _window_band
 
@@ -59,8 +58,8 @@ def green_matrix(window: CMVWindow, z: complex, residual_tol: float = 1e-6) -> G
     z = complex(z)
     A = z * window.L.conj().T - window.M
     try:
-        G = scipy.linalg.solve(A, np.eye(window.size))
-    except scipy.linalg.LinAlgError as exc:
+        G = np.linalg.solve(A, np.eye(window.size))
+    except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"solve failed at z = {z}: {exc}") from exc
     residual = float(np.max(np.abs(A @ G - np.eye(window.size))))
     if residual > residual_tol:
@@ -182,8 +181,8 @@ def davis_simon_gap(window_or_matrix, z: complex) -> DavisSimonGap:
     A = window_or_matrix.matrix if isinstance(window_or_matrix, CMVWindow) else np.asarray(window_or_matrix, dtype=complex)
     z = complex(z)
     n = A.shape[0]
-    svals = scipy.linalg.svdvals(z * np.eye(n) - A)
-    norm_A = float(scipy.linalg.svdvals(A)[0]) if n > 1 else float(abs(A[0, 0]))
+    svals = np.linalg.svd(z * np.eye(n) - A, compute_uv=False)
+    norm_A = float(np.linalg.svd(A, compute_uv=False)[0]) if n > 1 else float(abs(A[0, 0]))
     if abs(z) < norm_A - 1e-12:
         raise ValueError(f"|z| = {abs(z):.6f} < ||A|| = {norm_A:.6f}")
     smin = float(svals[-1])
@@ -274,8 +273,8 @@ def restriction_residual(window: CMVWindow, z: complex, psi: np.ndarray, eigen_t
     e_b = np.zeros(window.size, dtype=complex)
     e_a[0] = 1.0
     e_b[-1] = 1.0
-    col_a = scipy.linalg.solve(A, e_a)
-    col_b = scipy.linalg.solve(A, e_b)
+    col_a = np.linalg.solve(A, e_a)
+    col_b = np.linalg.solve(A, e_b)
     worst = 0.0
     for n in range(a + 1, b):
         pred = col_a[n - a] * tv.at_a + col_b[n - a] * tv.at_b

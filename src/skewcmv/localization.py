@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cmv import _BAND, BoundaryPair, CMVWindow, _band_dot, assemble_window
 from .lyapunov import SamplingConfig, estimate_Ln_many
@@ -53,6 +52,8 @@ def window_spectrum(window: CMVWindow) -> list:
     Other windows are not normal and take dense `eig`.  The per-pair residual
     ||E v - w v|| is recorded.
     """
+    import scipy.linalg  # imported here so the CLI tasks without a spectrum never pay scipy's load time
+
     E, ab = window.matrix, window.band
     try:
         if window.unimodular:
@@ -61,7 +62,7 @@ def window_spectrum(window: CMVWindow) -> list:
         else:
             w, V = scipy.linalg.eig(E)
             V /= np.linalg.norm(V, axis=0)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed on window {window.scheme_ref} [{window.a},{window.b}]: {exc}") from exc
     w, resid = _residuals(ab, V, w)
     order = np.argsort(np.angle(w) % (2.0 * np.pi), kind="stable")
@@ -82,6 +83,8 @@ def _normal_eigvecs(E: np.ndarray, ab: np.ndarray) -> np.ndarray:
     true tail of a localized vector, and decay fits read it as a plateau; the
     banded solve removes it.
     """
+    import scipy.linalg  # loaded on first use, as in window_spectrum
+
     n = len(E)
     H = E.conj().T
     H += E

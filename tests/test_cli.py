@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +90,22 @@ class TestConfig:
             main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
         assert f"params.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "task, params, key",
+        [("lyapunov", {"n": 0}, "n"), ("lyapunov", {"n": -3}, "n"), ("lyapunov", {"z_circle": 0}, "z_circle"),
+         ("green-check", {"max_size": 3}, "max_size"), ("davis-simon", {"instances": 0}, "instances"),
+         ("detform-check", {"n_min": 5, "n_max": 4}, "n_max"), ("multiscale", {"n": 6, "N": 35}, "N"),
+         ("localize", {"size": 32}, "size")],
+    )
+    def test_param_below_range_exits_with_status_2(self, tmp_path, capsys, task, params, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc(task, params)))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert f"params.{key} must be >= " in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_non_finite_dio_check_omega_rejected(self):
@@ -269,3 +287,37 @@ class TestEntryPoint:
         main(["--config", str(p), "--seed", "1", "--out", str(o1)])
         main(["--config", str(p), "--seed", "2", "--out", str(o2)])
         assert o1.read_text() != o2.read_text()
+
+
+# runs each config in a fresh interpreter and reports, after each step, whether scipy is loaded
+_STARTUP_PROBE = r"""
+import json, sys
+loaded = {}
+import skewcmv
+loaded["import skewcmv"] = "scipy" in sys.modules
+from skewcmv.cli import config_from_doc, run
+loaded["import skewcmv.cli"] = "scipy" in sys.modules
+for doc in json.loads(sys.argv[1]):
+    rows, failures, _ = run(config_from_doc(doc))
+    assert rows and failures == 0, doc["task"]
+    loaded[doc["task"]] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_spectrum_routes_load_scipy():
+    """Import, the oracle tasks and lyapunov run on numpy alone; the spectrum route loads scipy."""
+    small = {"instances": 4}
+    docs = [{"task": task, "params": small}
+            for task in ("green-check", "detform-check", "davis-simon", "restriction-check")]
+    docs.append(base_doc("lyapunov", {"n": 10, "z_circle": 2}, {"mode": "grid", "grid_side": 4}))
+    docs.append(base_doc("spectrum", {"size": 16}))
+    env = dict(os.environ, PYTHONPATH=str(Path(skewcmv.cli.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(docs)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    loaded = json.loads(r.stdout)
+    assert loaded == {
+        "import skewcmv": False, "import skewcmv.cli": False, "green-check": False, "detform-check": False,
+        "davis-simon": False, "restriction-check": False, "lyapunov": False, "spectrum": True,
+    }

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from skewcmv import localization
 from skewcmv.cmv import BoundaryPair, assemble_window
 from skewcmv.localization import (
     decay_fit,
@@ -146,8 +145,8 @@ class TestNormalPath:
             calls["eigh"] += 1
             return eigh(A, *args, **kwargs)
 
-        monkeypatch.setattr(localization.scipy.linalg, "eig", spy_eig)
-        monkeypatch.setattr(localization.scipy.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(scipy.linalg, "eig", spy_eig)
+        monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
         s = make_scheme(TRIG, 0.9, GOLDEN, base=(0.2, 0.6))
         w = assemble_window(s, (0, 47), BoundaryPair(np.exp(0.7j), gamma))
         pairs = window_spectrum(w)
