@@ -12,12 +12,12 @@ batch.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import io
 import itertools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -104,30 +104,44 @@ def _param(p: dict, key: str, default, kind=float, lo=None):
         value = kind(p.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"params.{key}: {exc}") from exc
-    if not math.isfinite(value):
+    if not cmath.isfinite(value):
         raise ConfigError(f"params.{key} must be finite, got {value}")
     if lo is not None and value < lo:
         raise ConfigError(f"params.{key} must be >= {lo}, got {value}")
     return value
 
 
-def _parse_z(value) -> complex:
-    if isinstance(value, (list, tuple)):
+def _param_list(p: dict, key: str, default, kind=float, lo=None, ascending=False) -> list:
+    """`p[key]`, or `default` when absent, as a nonempty list whose entries `_param` converts and checks.
+
+    ConfigError naming the key when the value is not a nonempty list, when an
+    entry fails, or, with `ascending`, when the entries are not sorted.
+    """
+    values = p.get(key, default)
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"params.{key} must be a nonempty list, got {values!r}")
+    out = [_param({key: v}, key, None, kind, lo) for v in values]
+    if ascending and any(b < a for a, b in zip(out, out[1:])):
+        raise ConfigError(f"params.{key} must be sorted ascending, got {out}")
+    return out
+
+
+def _complex(value) -> complex:
+    """A complex parameter given as [re, im], a number, or a string such as "1+2j"."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, str)):
         return complex(value)
-    if isinstance(value, str):
-        return complex(value)
-    raise ConfigError(f"params.z: cannot parse {value!r}")
+    raise TypeError(f"cannot parse {value!r} as a complex number")
 
 
 def _z_list(params: dict) -> list:
     if "z_list" in params:
-        return [_parse_z(v) for v in params["z_list"]]
+        return _param_list(params, "z_list", None, _complex)
     if "z_circle" in params:
         k = _param(params, "z_circle", None, int, lo=1)
         return [np.exp(2j * np.pi * (i + 0.5) / k) for i in range(k)]
-    return [_parse_z(params.get("z", [1.0, 0.0]))]
+    return [_param(params, "z", [1.0, 0.0], _complex)]
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -200,32 +214,31 @@ def _task_dio_check(cfg: ExperimentConfig, rng):
 def _task_lyapunov(cfg: ExperimentConfig, rng):
     p = cfg.params
     n = _param(p, "n", 100, int, lo=1)
-    rows = []
-    for z in _z_list(p):
-        est = estimate_Ln(cfg.scheme, z, n, cfg.sampling)
-        rows.append(
-            {
-                "n": n,
-                "z_re": z.real,
-                "z_im": z.imag,
-                "mean": est.mean,
-                "stderr": est.std_error,
-                "samples": est.samples,
-                "seed": cfg.sampling.rng_seed,
-            }
-        )
+    zs = _z_list(p)
+    rows = [
+        {
+            "n": n,
+            "z_re": z.real,
+            "z_im": z.imag,
+            "mean": est.mean,
+            "stderr": est.std_error,
+            "samples": est.samples,
+            "seed": cfg.sampling.rng_seed,
+        }
+        for z, est in zip(zs, estimate_Ln(cfg.scheme, zs, n, cfg.sampling))
+    ]
     return rows, 0, f"{len(rows)} estimates at n={n}"
 
 
 def _task_ldt(cfg: ExperimentConfig, rng):
     p = cfg.params
-    z = _parse_z(p.get("z", [1.0, 0.0]))
-    n_list = [int(v) for v in p.get("n_list", [20, 40, 80])]
+    z = _param(p, "z", [1.0, 0.0], _complex)
+    n_list = _param_list(p, "n_list", [20, 40, 80], int, lo=1)
     P = scaling_factor(cfg.scheme, z).value
     if "thresholds" in p:
-        thresholds = [float(t) for t in p["thresholds"]]
+        thresholds = _param_list(p, "thresholds", None, ascending=True)
     else:
-        thresholds = [f * P for f in p.get("threshold_factors", [0.1])]
+        thresholds = [f * P for f in _param_list(p, "threshold_factors", [0.1], ascending=True)]
     rows = []
     for n in n_list:
         prof = deviation_profile(cfg.scheme, z, n, thresholds, cfg.sampling)
@@ -256,7 +269,7 @@ def _task_avalanche(cfg: ExperimentConfig, rng):
         from .model import orbit_point
 
         block = _param(p, "block", 40, int, lo=1)
-        z = _parse_z(p.get("z", [1.0, 0.0]))
+        z = _param(p, "z", [1.0, 0.0], _complex)
         mats = []
         for j in range(count):
             start = orbit_point(cfg.scheme.base, cfg.scheme.frequency, j * block)
@@ -284,7 +297,7 @@ def _task_multiscale(cfg: ExperimentConfig, rng):
     p = cfg.params
     n = _param(p, "n", 10, int, lo=1)
     N = _param(p, "N", 100, int, lo=n * n)
-    z = _parse_z(p.get("z", [1.0, 0.0]))
+    z = _param(p, "z", [1.0, 0.0], _complex)
     res = multiscale_residual(cfg.scheme, z, n, N, cfg.sampling)
     P = scaling_factor(cfg.scheme, z).value
     row = {
@@ -306,7 +319,7 @@ def _task_multiscale(cfg: ExperimentConfig, rng):
 def _task_positivity(cfg: ExperimentConfig, rng):
     p = cfg.params
     n = _param(p, "n", 200, int, lo=1)
-    z = _parse_z(p.get("z", [1.0, 0.0]))
+    z = _param(p, "z", [1.0, 0.0], _complex)
     pm = positivity_margin(cfg.scheme, z, n, cfg.sampling)
     row = {
         "lambda": cfg.scheme.coupling,
@@ -327,7 +340,7 @@ def _task_uniform_bound(cfg: ExperimentConfig, rng):
     N = _param(p, "N", 500, int, lo=n0 + 1)
     grid = _param(p, "grid_side", 32, int, lo=1)
     sigma0 = _param(p, "sigma0", 0.5)
-    z = _parse_z(p.get("z", [1.0, 0.0]))
+    z = _param(p, "z", [1.0, 0.0], _complex)
     rep = uniform_bound_check(cfg.scheme, z, n0, N, grid, sigma0)
     row = {
         "n0": n0,
@@ -429,7 +442,7 @@ def _task_spectrum(cfg: ExperimentConfig, rng):
     p = cfg.params
     size = _param(p, "size", 64, int, lo=2)
     a = _param(p, "a", 0, int)
-    bc = BoundaryPair(_parse_z(p.get("beta", [1.0, 0.0])), _parse_z(p.get("gamma", [1.0, 0.0])))
+    bc = BoundaryPair(_param(p, "beta", [1.0, 0.0], _complex), _param(p, "gamma", [1.0, 0.0], _complex))
     w = assemble_window(cfg.scheme, (a, a + size - 1), bc)
     pairs = window_spectrum(w)
     rows = []
@@ -451,7 +464,7 @@ def _eigenpair_ok(value: complex, residual: float, bc: BoundaryPair) -> bool:
 def _task_localize(cfg: ExperimentConfig, rng):
     p = cfg.params
     size = _param(p, "size", 128, int, lo=64)
-    bc = BoundaryPair(_parse_z(p.get("beta", [1.0, 0.0])), _parse_z(p.get("gamma", [1.0, 0.0])))
+    bc = BoundaryPair(_param(p, "beta", [1.0, 0.0], _complex), _param(p, "gamma", [1.0, 0.0], _complex))
     reports = localization_scan(
         cfg.scheme,
         size,

@@ -105,6 +105,8 @@ def _u_values(s: VerblunskyScheme, z, n: int, phases: np.ndarray) -> np.ndarray:
 
 
 def _estimates(s: VerblunskyScheme, zs, n: int, cfg: SamplingConfig) -> list:
+    if np.ndim(zs) != 1 or len(zs) == 0:
+        raise ValueError(f"z must be a scalar or a nonempty 1-D sequence, got shape {np.shape(zs)}")
     out = []
     for z, u in zip(zs, _u_values(s, zs, n, cfg.phases())):
         mc = cfg.mode == "monte-carlo" and len(u) > 1
@@ -114,11 +116,16 @@ def _estimates(s: VerblunskyScheme, zs, n: int, cfg: SamplingConfig) -> list:
     return out
 
 
-def estimate_Ln(s: VerblunskyScheme, z: complex, n: int, cfg: SamplingConfig) -> LyapunovEstimate:
+def estimate_Ln(s: VerblunskyScheme, z, n: int, cfg: SamplingConfig) -> LyapunovEstimate | list:
     """Estimate L_n(z) by averaging (1/n) log ||M_n|| over sampled base phases.
 
-    The scheme's own base phase is ignored: the estimate is a phase average.
+    A scalar z gives one LyapunovEstimate.  A 1-D sequence of z gives a list of
+    them, one per z, and every orbit chunk is sampled once for all of them; each
+    estimate is bit-identical to the scalar call.  The scheme's own base phase
+    is ignored: the estimate is a phase average.
     """
+    if np.ndim(z):
+        return _estimates(s, z, n, cfg)
     return _estimates(s, [z], n, cfg)[0]
 
 

@@ -56,21 +56,111 @@ def _mod1(t):
     return np.where(r == 1.0, 0.0, r)
 
 
-def _orbit(x, y, omega, j) -> tuple:
-    """Skew-shift orbit (x + j y + C(j,2) w, y + j w) mod 1, exact for every integer j.
+def _fixed(t) -> np.ndarray:
+    """Floats reduced mod 1 as uint64 multiples of 2^-64 (exact for floats >= 2^-11)."""
+    return (_mod1(np.asarray(t, dtype=float)) * 2.0**64).astype(np.uint64)
 
-    Inputs broadcast.  Phases become uint64 multiples of 2^-64 (exact for floats
-    >= 2^-11), where wrapping arithmetic is exactly mod 1.  C(j,2) halves the
-    even one of j, j-1 in int64 before the uint64 product, so negative j are
-    exact too.  Returns float arrays in [0, 1), each value rounded once.
+
+def _steps(j) -> tuple:
+    """(j, C(j, 2)) as uint64, exact mod 2^64 for every int64 j.
+
+    C(j,2) halves the even one of j, j-1 in int64 before the uint64 product, so
+    negative j are exact too.
     """
     # arrays, not numpy scalars: scalar uint64 arithmetic warns when it wraps
     j = np.atleast_1d(np.asarray(j, dtype=np.int64))
     odd = j & 1
-    tri = ((j - odd) >> 1).astype(np.uint64) * (j - 1 + odd).astype(np.uint64)
-    x, y, om = ((_mod1(np.asarray(t, dtype=float)) * 2.0**64).astype(np.uint64) for t in (x, y, omega))
-    jj = j.astype(np.uint64)
+    return j.astype(np.uint64), ((j - odd) >> 1).astype(np.uint64) * (j - 1 + odd).astype(np.uint64)
+
+
+def _orbit(x, y, omega, j) -> tuple:
+    """Skew-shift orbit (x + j y + C(j,2) w, y + j w) mod 1, exact for every integer j.
+
+    Inputs broadcast.  Phases become uint64 multiples of 2^-64, where wrapping
+    arithmetic is exactly mod 1.  Returns float arrays in [0, 1), each value
+    rounded once.
+    """
+    jj, tri = _steps(j)
+    x, y, om = (_fixed(t) for t in (x, y, omega))
     return tuple(_mod1(u.astype(float) * 2.0**-64) for u in (x + jj * y + tri * om, y + jj * om))
+
+
+# radians per unit of a uint64 phase: 2 pi t = (phase as int64) * 2 pi 2^-64
+_RADIANS = 2.0 * math.pi * 2.0**-64
+
+
+def _unit(u: np.ndarray) -> np.ndarray:
+    """e^{2 pi i t} of uint64 phases t, from one cos/sin pair per value.
+
+    The int64 view takes t into [-1/2, 1/2), so the angle lies in [-pi, pi) and
+    is rounded twice.  `u` is overwritten with the angles.
+    """
+    theta = np.multiply(u.view(np.int64), _RADIANS, out=u.view(np.float64))
+    e = np.empty(u.shape, dtype=complex)
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
+    return e
+
+
+def _power(e: np.ndarray, l: int):
+    """e^l for |e| = 1 by repeated products, conjugated for l < 0; 1.0 for l = 0."""
+    if l == 0:
+        return 1.0
+    out = e
+    for _ in range(abs(l) - 1):
+        out = out * e
+    return out if l > 0 else np.conj(out)
+
+
+def _coefficients(s: "VerblunskyScheme", x, y, js) -> np.ndarray:
+    """alpha_j = coupling * sampler(T^j(x, y)) for j in `js` and phases (x, y): shape (len(js), len(x)).
+
+    The orbit kernel behind verblunsky_at, verblunsky_range and
+    verblunsky_orbit_batch.  Phases are the exact uint64 ones of _orbit.
+    e^{2 pi i x_j} takes one cos/sin pair per point; e^{2 pi i y_j} is the outer
+    product e^{2 pi i y} e^{2 pi i j w}.  A term c e^{2 pi i (k x + l y)} is
+    c (e^{2 pi i x})^k (e^{2 pi i y})^l, with the coupling folded into c, and
+    the terms are accumulated in place.  Every value is computed elementwise by
+    the same operations, so a point's value is bit-identical whatever the other
+    points and phases of the call.
+    """
+    jj, tri = _steps(js)
+    x, y = np.atleast_1d(x, y)
+    n, S = len(jj), len(x)
+    if n * S == 1:
+        # numpy multiplies a one-element array in place by an unfused scalar loop;
+        # a repeated point keeps the value bit-identical to larger calls
+        return _coefficients(s, x, y, np.repeat(jj.view(np.int64), 2))[:1]
+    xu, yu, om = np.split(_fixed(np.concatenate([x, y, [s.frequency.omega]])), [S, 2 * S])
+    # one buffer, one cos/sin pass: x_j for every (j, phase), then y, then j w
+    u = np.empty(n * S + S + n, dtype=np.uint64)
+    phase = np.multiply.outer(jj, yu, out=u[: n * S].reshape(n, S))
+    phase += xu
+    phase += (tri * om)[:, None]
+    u[n * S : n * S + S] = yu
+    np.multiply(jj, om, out=u[n * S + S :])
+    e = _unit(u)
+    del u, phase
+    ex, ey, ew = e[: n * S].reshape(n, S), e[n * S : n * S + S], e[n * S + S :]
+    out = term = np.zeros(ex.shape, dtype=complex)  # the first term is written straight into out
+    for i, (k, l, c) in enumerate(s.sampler.terms):
+        if i == 1:
+            term = np.empty_like(ex)
+        c = s.coupling * c * _power(ey, l)  # a scalar, or (S,) when l != 0
+        if k:
+            # c x^k, or for k < 0 the conjugate of conj(c) x^|k|
+            np.multiply(ex, c if k > 0 else np.conj(c), out=term)
+            for _ in range(abs(k) - 1):
+                term *= ex
+            if k < 0:
+                np.conjugate(term, out=term)
+        else:
+            term[...] = c
+        if l:
+            term *= _power(ew, l)[:, None]
+        if i:
+            out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -231,14 +321,12 @@ def skew_shift_orbit(p: Phase, w: Frequency, n: int) -> list:
 
 def verblunsky_at(s: VerblunskyScheme, n: int) -> complex:
     """alpha_n = coupling * sampler(T^n(base)); |result| < 1 by the construction bound."""
-    q = orbit_point(s.base, s.frequency, n)
-    return s.coupling * s.sampler(q.x, q.y)
+    return complex(_coefficients(s, s.base.x, s.base.y, n)[0, 0])
 
 
 def verblunsky_range(s: VerblunskyScheme, lo: int, hi: int) -> np.ndarray:
     """Coefficients alpha_lo .. alpha_hi inclusive, as a complex array."""
-    pts = orbit_points(s.base, s.frequency, np.arange(lo, hi + 1))
-    return s.coupling * s.sampler(pts[:, 0], pts[:, 1])
+    return _coefficients(s, s.base.x, s.base.y, np.arange(lo, hi + 1))[:, 0]
 
 
 def verblunsky_orbit_batch(
@@ -250,9 +338,7 @@ def verblunsky_orbit_batch(
     kernel behind the Lyapunov estimators: the scheme's own base phase is ignored.
     """
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
-    js = np.arange(start, start + n)[:, None]
-    x, y = _orbit(phases[:, 0], phases[:, 1], s.frequency.omega, js)
-    return s.coupling * s.sampler(x, y)
+    return _coefficients(s, phases[:, 0], phases[:, 1], np.arange(start, start + n))
 
 
 @dataclass(frozen=True)

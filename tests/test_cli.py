@@ -10,7 +10,10 @@ import pytest
 
 import skewcmv.cli
 import skewcmv.localization
+import skewcmv.lyapunov
 from skewcmv.cli import ConfigError, config_from_doc, main, run, run_sweep
+from skewcmv.lyapunov import estimate_Ln
+from skewcmv.model import verblunsky_orbit_batch
 
 SCHEME_DOC = {
     "coefficients": [[1, 0, 0.5, 0.0], [0, 1, 0.5, 0.0]],
@@ -108,6 +111,23 @@ class TestConfig:
         assert f"params.{key} must be >= " in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "task, params, key",
+        [("lyapunov", {"z_list": []}, "z_list"), ("lyapunov", {"z_list": [[1.0, 0.0], "one"]}, "z_list"),
+         ("lyapunov", {"z_list": [[math.nan, 0.0]]}, "z_list"), ("lyapunov", {"z_list": 1.0}, "z_list"),
+         ("ldt", {"n_list": []}, "n_list"), ("ldt", {"n_list": [10, 0]}, "n_list"),
+         ("ldt", {"thresholds": [0.1, math.inf]}, "thresholds"), ("ldt", {"thresholds": [0.5, 0.1]}, "thresholds"),
+         ("ldt", {"threshold_factors": []}, "threshold_factors"), ("spectrum", {"beta": [1.0]}, "beta")],
+    )
+    def test_bad_list_param_exits_with_status_2(self, tmp_path, capsys, task, params, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_doc(task, params)))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert f"params.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_non_finite_dio_check_omega_rejected(self):
         with pytest.raises(ConfigError, match="params.omega must be finite"):
             run_doc({"task": "dio-check", "params": {"omega": math.nan}})
@@ -195,6 +215,27 @@ class TestTasks:
         assert failures == 0 and len(rows) == 64
         assert set(rows[0]) >= {"size", "lambda", "omega", "eig_re", "eig_im", "center",
                                 "rate", "r2", "ipr", "L_ref", "localized_flag"}
+
+
+class TestSharedOrbit:
+    def test_lyapunov_rows_equal_scalar_estimates(self):
+        doc = base_doc("lyapunov", {"n": 300, "z_circle": 3})
+        cfg = config_from_doc(doc)
+        rows, _, _ = run(cfg)
+        for row in rows:
+            est = estimate_Ln(cfg.scheme, complex(row["z_re"], row["z_im"]), 300, cfg.sampling)
+            assert (row["mean"], row["stderr"], row["samples"]) == (est.mean, est.std_error, est.samples)
+
+    def test_lyapunov_samples_each_chunk_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("start", 0))
+            return verblunsky_orbit_batch(*args, **kwargs)
+
+        monkeypatch.setattr(skewcmv.lyapunov, "verblunsky_orbit_batch", counted)
+        rows, _, _ = run_doc(base_doc("lyapunov", {"n": 600, "z_circle": 4}))
+        assert len(rows) == 4 and calls == [0, 256, 512]
 
 
 class TestDeterminism:

@@ -82,7 +82,19 @@ class TestEstimator:
         zs = [1.0, np.exp(0.9j), np.exp(2.3j)]
         singles = [estimate_Ln(s, z, 25, cfg) for z in zs]
         many = estimate_Ln_many(s, zs, 25, cfg)
-        assert singles == many
+        assert singles == many == estimate_Ln(s, zs, 25, cfg) == estimate_Ln(s, np.array(zs), 25, cfg)
+        # n = 600 streams three chunks, each shared by every z
+        long = [estimate_Ln(s, z, 600, cfg) for z in zs]
+        assert estimate_Ln(s, zs, 600, cfg) == long
+        # a 0-d numpy complex is a scalar z
+        one = estimate_Ln(s, np.complex128(zs[1]), 25, cfg)
+        assert one == estimate_Ln(s, np.array(zs[1]), 25, cfg) == singles[1]
+
+    @pytest.mark.parametrize("zs", [[], np.zeros((0,)), [[1.0, 1j]]])
+    def test_empty_or_nested_z_rejected(self, zs):
+        s = make_scheme(TRIG, 0.9, 0.618)
+        with pytest.raises(ValueError, match="1-D"):
+            estimate_Ln(s, zs, 10, SamplingConfig(grid_side=2))
 
     def test_nonnegative_at_positive_coupling_scale(self):
         # not an invariant claimed for the mean in general, but grid means at these
@@ -105,18 +117,23 @@ class TestEstimator:
 
 class TestStreaming:
     @staticmethod
-    def peak_bytes(n: int) -> int:
+    def peak_bytes(n: int, z=np.exp(0.7j)) -> int:
         s = make_scheme(TRIG, 0.9, 0.618)
         cfg = SamplingConfig(mode="monte-carlo", sample_count=256, rng_seed=4)
         tracemalloc.start()
         try:
-            estimate_Ln(s, np.exp(0.7j), n, cfg)
+            estimate_Ln(s, z, n, cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_memory_independent_of_orbit_length(self):
         short, long = self.peak_bytes(4 * ORBIT_CHUNK), self.peak_bytes(32 * ORBIT_CHUNK)
+        assert long <= 1.25 * short, (short, long)
+
+    def test_batched_memory_independent_of_orbit_length(self):
+        zs = np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+        short, long = self.peak_bytes(4 * ORBIT_CHUNK, zs), self.peak_bytes(32 * ORBIT_CHUNK, zs)
         assert long <= 1.25 * short, (short, long)
 
     def test_long_orbit_runs(self):

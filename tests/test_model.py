@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import re
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewcmv.cli import config_from_doc, run
@@ -171,6 +172,72 @@ class TestVerblunsky:
         a = verblunsky_range(s, 0, 500)
         rho = np.sqrt(1 - np.abs(a) ** 2)
         assert np.all(rho > 0)
+
+
+def exact_coefficients(s, x, y, js) -> np.ndarray:
+    """coupling * sampler at the orbit points j of (x, y), each term's phase exact in rationals and rounded once."""
+    X, Y, W = (Fraction(t) for t in (x, y, s.frequency.omega))
+    out = []
+    for j in js:
+        xj, yj = (X + j * Y + Fraction(j * (j - 1), 2) * W) % 1, (Y + j * W) % 1
+        out.append(s.coupling * sum(c * cmath.exp(2j * math.pi * float((k * xj + l * yj) % 1))
+                                    for k, l, c in s.sampler.terms))
+    return np.array(out)
+
+
+# floats >= 2^-11 are exact as phases; smaller ones lose bits below 2^-64, which C(j,2) w magnifies
+PHASE = st.one_of(st.just(0.0), st.floats(2**-11, 1, exclude_max=True))
+
+
+class TestOrbitKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        terms=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=5),
+        coupling=st.floats(0.05, 0.99),
+        omega=PHASE,
+        phases=st.lists(st.tuples(PHASE, PHASE), min_size=1, max_size=3),
+        start=st.one_of(st.integers(-300, 300), st.sampled_from([-(10**9) - 2, 10**9 - 2])),
+        n=st.integers(1, 5),
+    )
+    @example(terms={(0, 0): (0.5, 0.1), (3, 0): (0.3, 0.7), (0, -3): (0.2, 0.4)}, coupling=0.9, omega=0.6180339887,
+             phases=[(0.0123456789, 0.31234)], start=-(10**9) - 2, n=5)
+    @example(terms={(0, 0): (1.0, 0.25)}, coupling=0.5, omega=0.25, phases=[(0.5, 0.75)], start=-3, n=4)
+    @example(terms={(-2, 0): (1.0, 0.0), (0, 2): (0.5, 0.5)}, coupling=0.7, omega=0.1180339887,
+             phases=[(0.3, 0.9), (0.0, 0.0)], start=10**9 - 2, n=5)
+    def test_matches_exact_phases(self, terms, coupling, omega, phases, start, n):
+        coeffs = {kl: r * cmath.exp(2j * math.pi * t) for kl, (r, t) in terms.items()}
+        ell1 = sum(abs(c) for c in coeffs.values())
+        coeffs = {kl: c / ell1 for kl, c in coeffs.items()}
+        s = make_scheme(coeffs, coupling, omega)
+        got = verblunsky_orbit_batch(s, n, np.array(phases), start=start)
+        js = range(start, start + n)
+        for col, (x, y) in enumerate(phases):
+            err = np.max(np.abs(got[:, col] - exact_coefficients(s, x, y, js)))
+            assert err <= 1e-14 * coupling * s.sampler.ell1(), err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0), min_size=1, max_size=4),
+        base=st.tuples(PHASE, PHASE),
+        lo=st.integers(-(10**9), 10**9),
+        n=st.integers(1, 40),
+    )
+    def test_range_at_and_batch_share_the_kernel(self, terms, base, lo, n):
+        ell1 = sum(abs(c) for c in terms.values())
+        s = make_scheme({kl: c / ell1 for kl, c in terms.items()}, 0.9, 0.3183098861, base=base)
+        rng = verblunsky_range(s, lo, lo + n - 1)
+        at = np.array([verblunsky_at(s, j) for j in range(lo, lo + n)])
+        batch = verblunsky_orbit_batch(s, n, [[s.base.x, s.base.y]], start=lo)[:, 0]
+        assert np.array_equal(rng, at) and np.array_equal(rng, batch)
+        # a phase's column does not depend on the other phases of the batch
+        wide = verblunsky_orbit_batch(s, n, [[0.25, 0.5], [s.base.x, s.base.y]], start=lo)[:, 1]
+        assert np.array_equal(rng, wide)
+
+    def test_empty_sampler_gives_zeros(self):
+        s = make_scheme({}, 0.5, 0.3)
+        assert np.array_equal(verblunsky_orbit_batch(s, 3, [[0.1, 0.2]]), np.zeros((3, 1)))
 
 
 def eager_rejects(sampler, coupling) -> bool:
