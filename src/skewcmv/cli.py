@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -48,44 +48,23 @@ from .model import (
     scheme_to_json,
 )
 
-TASKS = (
-    "lyapunov",
-    "ldt",
-    "avalanche",
-    "multiscale",
-    "positivity",
-    "uniform-bound",
-    "green-check",
-    "davis-simon",
-    "restriction-check",
-    "spectrum",
-    "localize",
-    "dio-check",
-    "detform-check",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     task: str
     scheme: VerblunskyScheme | None
-    params: dict
+    params: dict  # as given; the hash is taken over these
+    values: dict  # every parameter of the task, parsed and checked, defaults filled in
     sampling: SamplingConfig
     out_path: str
     out_format: str  # "csv" | "json"
-    threads: int
 
     def canonical(self) -> dict:
         return {
             "task": self.task,
             "scheme": json.loads(scheme_to_json(self.scheme)) if self.scheme else None,
             "params": self.params,
-            "sampling": {
-                "mode": self.sampling.mode,
-                "grid_side": self.sampling.grid_side,
-                "sample_count": self.sampling.sample_count,
-                "rng_seed": self.sampling.rng_seed,
-            },
+            "sampling": asdict(self.sampling),
         }
 
     @property
@@ -98,32 +77,29 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-def _param(p: dict, key: str, default, kind=float, lo=None):
-    """`p[key]`, or `default` when absent, converted by `kind`; ConfigError naming the key if not finite or below `lo`."""
-    try:
-        value = kind(p.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"params.{key}: {exc}") from exc
-    if not cmath.isfinite(value):
-        raise ConfigError(f"params.{key} must be finite, got {value}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"params.{key} must be >= {lo}, got {value}")
-    return value
+@dataclass(frozen=True)
+class Param:
+    """One config field: its converter, its default and its checks.
 
-
-def _param_list(p: dict, key: str, default, kind=float, lo=None, ascending=False) -> list:
-    """`p[key]`, or `default` when absent, as a nonempty list whose entries `_param` converts and checks.
-
-    ConfigError naming the key when the value is not a nonempty list, when an
-    entry fails, or, with `ascending`, when the entries are not sorted.
+    With default None the field is None unless given.  `lo` is a lower bound,
+    or a function of the fields parsed before this one.
     """
-    values = p.get(key, default)
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(f"params.{key} must be a nonempty list, got {values!r}")
-    out = [_param({key: v}, key, None, kind, lo) for v in values]
-    if ascending and any(b < a for a, b in zip(out, out[1:])):
-        raise ConfigError(f"params.{key} must be sorted ascending, got {out}")
-    return out
+
+    name: str
+    kind: object = float
+    default: object = None
+    lo: object = None
+    choices: tuple = ()
+    many: bool = False  # a nonempty list of such values
+    ascending: bool = False
+
+
+@dataclass(frozen=True)
+class Task:
+    fn: object  # fn(cfg, rng, **parsed params) -> (rows, hard_failures, summary)
+    needs_scheme: bool
+    params: tuple
+    exclusive: tuple = ()  # groups of params of which at most one may be given
 
 
 def _complex(value) -> complex:
@@ -135,13 +111,70 @@ def _complex(value) -> complex:
     raise TypeError(f"cannot parse {value!r} as a complex number")
 
 
-def _z_list(params: dict) -> list:
-    if "z_list" in params:
-        return _param_list(params, "z_list", None, _complex)
-    if "z_circle" in params:
-        k = _param(params, "z_circle", None, int, lo=1)
-        return [np.exp(2j * np.pi * (i + 0.5) / k) for i in range(k)]
-    return [_param(params, "z", [1.0, 0.0], _complex)]
+def _spectral(value) -> complex:
+    """A spectral parameter z: complex and nonzero, since the cocycle divides by sqrt(z)."""
+    z = _complex(value)
+    if z == 0:
+        raise ValueError("the spectral parameter must be nonzero")
+    return z
+
+
+def _text(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise TypeError(f"expected a nonempty string, got {value!r}")
+    return value
+
+
+def _as_is(value):
+    return value
+
+
+def _value(where: str, p: Param, value, earlier: dict):
+    """`value` converted by `p.kind` and checked against `p`; ConfigError naming `where` if it fails."""
+    if p.many:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{where} must be a nonempty list, got {value!r}")
+        out = [_value(where, replace(p, many=False), v, earlier) for v in value]
+        if p.ascending and any(b < a for a, b in zip(out, out[1:])):
+            raise ConfigError(f"{where} must be sorted ascending, got {out}")
+        return out
+    try:
+        value = p.kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if p.choices and value not in p.choices:
+        raise ConfigError(f"{where} must be one of {', '.join(p.choices)}, got {value!r}")
+    if isinstance(value, (int, float, complex)) and not cmath.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value}")
+    lo = p.lo(earlier) if callable(p.lo) else p.lo
+    if lo is not None and value < lo:
+        raise ConfigError(f"{where} must be >= {lo}, got {value}")
+    return value
+
+
+def _keys(task: str, where: str, obj, allowed) -> dict:
+    """`obj` if it is a JSON object whose keys all lie in `allowed`; else ConfigError naming the key."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{where}{'.' if where else ''}{key}: unknown key for task {task!r}")
+    return obj
+
+
+def _fields(task: str, where: str, obj, params: tuple, exclusive: tuple = ()) -> dict:
+    """Each of `params` parsed from the JSON object `obj`, in order, its default filled in when absent."""
+    _keys(task, where, obj, [p.name for p in params])
+    for group in exclusive:
+        clash = [f"{where}.{key}" for key in group if key in obj]
+        if len(clash) > 1:
+            raise ConfigError(f"{' and '.join(clash)}: give at most one of them")
+    values = {}
+    for p in params:
+        given = p.name in obj
+        value = obj[p.name] if given else p.default
+        values[p.name] = _value(f"{where}.{p.name}", p, value, values) if given or value is not None else None
+    return values
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -192,17 +225,21 @@ def _oncircle_z(rng, eigs, dist_min: float) -> complex:
 
 
 # --- task implementations ----------------------------------------------------
-# each returns (rows, hard_failures, summary_fragment)
+# each takes its parsed params as keywords and returns (rows, hard_failures, summary_fragment)
 
-def _task_dio_check(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    omega = _param(p, "omega", cfg.scheme.frequency.omega if cfg.scheme else 0.5)
-    eps = _param(p, "epsilon", 0.1)
-    horizon = _param(p, "horizon", 10000, int, lo=1)
-    cert = diophantine_margin(Frequency(omega), eps, horizon)
+def _checked(rows: list, unit: str = "instances"):
+    """The result of a task whose rows each carry ok = 0 or 1; each ok = 0 is a hard failure."""
+    failures = sum(1 - r["ok"] for r in rows)
+    return rows, failures, f"{len(rows)} {unit}, {failures} failures"
+
+
+def _task_dio_check(cfg: ExperimentConfig, rng, omega, epsilon, horizon):
+    if omega is None:
+        omega = cfg.scheme.frequency.omega if cfg.scheme else 0.5
+    cert = diophantine_margin(Frequency(omega), epsilon, horizon)
     row = {
         "omega": omega,
-        "epsilon": eps,
+        "epsilon": epsilon,
         "horizon": horizon,
         "margin": cert.margin,
         "worst_n": cert.worst_n,
@@ -211,10 +248,10 @@ def _task_dio_check(cfg: ExperimentConfig, rng):
     return [row], 0, f"margin={cert.margin:.6g} at n={cert.worst_n}"
 
 
-def _task_lyapunov(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    n = _param(p, "n", 100, int, lo=1)
-    zs = _z_list(p)
+def _task_lyapunov(cfg: ExperimentConfig, rng, n, z, z_list, z_circle):
+    zs = z_list or [z]
+    if z_circle is not None:
+        zs = [np.exp(2j * np.pi * (i + 0.5) / z_circle) for i in range(z_circle)]
     rows = [
         {
             "n": n,
@@ -230,15 +267,9 @@ def _task_lyapunov(cfg: ExperimentConfig, rng):
     return rows, 0, f"{len(rows)} estimates at n={n}"
 
 
-def _task_ldt(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    z = _param(p, "z", [1.0, 0.0], _complex)
-    n_list = _param_list(p, "n_list", [20, 40, 80], int, lo=1)
+def _task_ldt(cfg: ExperimentConfig, rng, z, n_list, thresholds, threshold_factors):
     P = scaling_factor(cfg.scheme, z).value
-    if "thresholds" in p:
-        thresholds = _param_list(p, "thresholds", None, ascending=True)
-    else:
-        thresholds = [f * P for f in _param_list(p, "threshold_factors", [0.1], ascending=True)]
+    thresholds = thresholds or [f * P for f in threshold_factors]
     rows = []
     for n in n_list:
         prof = deviation_profile(cfg.scheme, z, n, thresholds, cfg.sampling)
@@ -249,11 +280,7 @@ def _task_ldt(cfg: ExperimentConfig, rng):
     return rows, 0, f"profiles at n={n_list}"
 
 
-def _task_avalanche(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    mode = p.get("mode", "hyperbolic")
-    count = _param(p, "count", 50, int, lo=3)
-    mu = _param(p, "mu", 1e3)
+def _task_avalanche(cfg: ExperimentConfig, rng, mode, count, mu, block, z):
     if mode == "diagonal":
         mats = [np.diag([mu, 1.0 / mu]) for _ in range(count)]
     elif mode == "hyperbolic":
@@ -268,8 +295,6 @@ def _task_avalanche(cfg: ExperimentConfig, rng):
             raise ConfigError("scheme: avalanche cocycle mode requires a scheme")
         from .model import orbit_point
 
-        block = _param(p, "block", 40, int, lo=1)
-        z = _param(p, "z", [1.0, 0.0], _complex)
         mats = []
         for j in range(count):
             start = orbit_point(cfg.scheme.base, cfg.scheme.frequency, j * block)
@@ -277,8 +302,6 @@ def _task_avalanche(cfg: ExperimentConfig, rng):
             if fp.log_scale > 600.0:
                 raise ConfigError("params.block: block products overflow; reduce block length")
             mats.append(fp.value())
-    else:
-        raise ConfigError(f"params.mode: unknown avalanche mode {mode!r}")
     rep = avalanche_residual(mats)
     row = {
         "mode": mode,
@@ -293,11 +316,7 @@ def _task_avalanche(cfg: ExperimentConfig, rng):
     return [row], failures, f"residual={rep.residual:.3e} (n/mu={rep.n_over_mu:.2e})"
 
 
-def _task_multiscale(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    n = _param(p, "n", 10, int, lo=1)
-    N = _param(p, "N", 100, int, lo=n * n)
-    z = _param(p, "z", [1.0, 0.0], _complex)
+def _task_multiscale(cfg: ExperimentConfig, rng, n, N, z):
     res = multiscale_residual(cfg.scheme, z, n, N, cfg.sampling)
     P = scaling_factor(cfg.scheme, z).value
     row = {
@@ -316,10 +335,7 @@ def _task_multiscale(cfg: ExperimentConfig, rng):
     return [row], 0, f"residual={res.residual:.4f} vs 5Pn/N={row['bound_5PnN']:.4f}"
 
 
-def _task_positivity(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    n = _param(p, "n", 200, int, lo=1)
-    z = _param(p, "z", [1.0, 0.0], _complex)
+def _task_positivity(cfg: ExperimentConfig, rng, n, z):
     pm = positivity_margin(cfg.scheme, z, n, cfg.sampling)
     row = {
         "lambda": cfg.scheme.coupling,
@@ -334,18 +350,12 @@ def _task_positivity(cfg: ExperimentConfig, rng):
     return [row], 0, f"margin={pm.margin:.4f}"
 
 
-def _task_uniform_bound(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    n0 = _param(p, "n0", 50, int, lo=1)
-    N = _param(p, "N", 500, int, lo=n0 + 1)
-    grid = _param(p, "grid_side", 32, int, lo=1)
-    sigma0 = _param(p, "sigma0", 0.5)
-    z = _param(p, "z", [1.0, 0.0], _complex)
-    rep = uniform_bound_check(cfg.scheme, z, n0, N, grid, sigma0)
+def _task_uniform_bound(cfg: ExperimentConfig, rng, n0, N, grid_side, sigma0, z):
+    rep = uniform_bound_check(cfg.scheme, z, n0, N, grid_side, sigma0)
     row = {
         "n0": n0,
         "N": N,
-        "grid_side": grid,
+        "grid_side": grid_side,
         "sigma0": sigma0,
         "max_over_grid": rep.max_over_grid,
         "reference": rep.reference,
@@ -354,13 +364,8 @@ def _task_uniform_bound(cfg: ExperimentConfig, rng):
     return [row], 0, f"max={rep.max_over_grid:.4f} ref={rep.reference:.4f}"
 
 
-def _task_green_check(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    instances = _param(p, "instances", 100, int, lo=1)
-    max_size = _param(p, "max_size", 32, int, lo=4)
-    tol = _param(p, "tolerance", 1e-8)
+def _task_green_check(cfg: ExperimentConfig, rng, instances, max_size, tolerance, dist_min):
     rows = []
-    failures = 0
     for i in range(instances):
         s = _random_scheme(rng)
         size = int(rng.integers(4, max_size + 1))
@@ -368,27 +373,21 @@ def _task_green_check(cfg: ExperimentConfig, rng):
         bc = BoundaryPair(_random_unimodular(rng), _random_unimodular(rng))
         w = assemble_window(s, (a, a + size - 1), bc)
         eigs = np.linalg.eigvals(w.matrix)
-        z = _oncircle_z(rng, eigs, _param(p, "dist_min", 1e-3))
+        z = _oncircle_z(rng, eigs, dist_min)
         j = int(rng.integers(w.a, w.b + 1))
         k = int(rng.integers(j, w.b + 1))
         direct = abs(green_matrix(w, z).entry(j, k))
         formula = green_entry_via_polys(w, j, k, z)
         rel = abs(formula - direct) / max(direct, 1e-300)
-        ok = rel < tol
-        failures += 0 if ok else 1
         rows.append(
             {"instance": i, "size": size, "a": w.a, "b": w.b, "j": j, "k": k,
-             "z_re": z.real, "z_im": z.imag, "rel_err": rel, "ok": int(ok)}
+             "z_re": z.real, "z_im": z.imag, "rel_err": rel, "ok": int(rel < tolerance)}
         )
-    return rows, failures, f"{instances} instances, {failures} failures"
+    return _checked(rows)
 
 
-def _task_davis_simon(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    instances = _param(p, "instances", 200, int, lo=1)
-    max_size = _param(p, "max_size", 32, int, lo=2)
+def _task_davis_simon(cfg: ExperimentConfig, rng, instances, max_size):
     rows = []
-    failures = 0
     for i in range(instances):
         s = _random_scheme(rng)
         size = int(rng.integers(2, max_size + 1))
@@ -398,21 +397,15 @@ def _task_davis_simon(cfg: ExperimentConfig, rng):
         eigs = np.linalg.eigvals(w.matrix)
         z = _offcircle_z(rng, eigs, 1e-6)
         gap = davis_simon_gap(w, z)
-        ok = gap.holds
-        failures += 0 if ok else 1
         rows.append(
             {"instance": i, "size": size, "z_re": z.real, "z_im": z.imag,
-             "product": gap.product, "bound": gap.bound, "ok": int(ok)}
+             "product": gap.product, "bound": gap.bound, "ok": int(gap.holds)}
         )
-    return rows, failures, f"{instances} instances, {failures} failures"
+    return _checked(rows)
 
 
-def _task_restriction_check(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    instances = _param(p, "instances", 40, int, lo=1)
-    tol = _param(p, "tolerance", 1e-8)
+def _task_restriction_check(cfg: ExperimentConfig, rng, instances, tolerance):
     rows = []
-    failures = 0
     parities = [(8, 24), (9, 25), (8, 25), (9, 24)]
     for i in range(instances):
         s = _random_scheme(rng, max_coupling=0.8)
@@ -428,21 +421,16 @@ def _task_restriction_check(cfg: ExperimentConfig, rng):
         z, v = complex(vals[pick]), vecs[:, pick]
         psi = v[a - 1 : b + 2]
         resid = restriction_residual(inner, z, psi)
-        ok = resid < tol
-        failures += 0 if ok else 1
         rows.append(
             {"instance": i, "a": a, "b": b,
              "parity": f"{'e' if a % 2 == 0 else 'o'}{'e' if b % 2 == 0 else 'o'}",
-             "dist": float(dists[pick]), "residual": resid, "ok": int(ok)}
+             "dist": float(dists[pick]), "residual": resid, "ok": int(resid < tolerance)}
         )
-    return rows, failures, f"{instances} instances, {failures} failures"
+    return _checked(rows)
 
 
-def _task_spectrum(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    size = _param(p, "size", 64, int, lo=2)
-    a = _param(p, "a", 0, int)
-    bc = BoundaryPair(_param(p, "beta", [1.0, 0.0], _complex), _param(p, "gamma", [1.0, 0.0], _complex))
+def _task_spectrum(cfg: ExperimentConfig, rng, size, a, beta, gamma):
+    bc = BoundaryPair(beta, gamma)
     w = assemble_window(cfg.scheme, (a, a + size - 1), bc)
     pairs = window_spectrum(w)
     rows = []
@@ -452,8 +440,7 @@ def _task_spectrum(cfg: ExperimentConfig, rng):
             {"eig_re": pr.value.real, "eig_im": pr.value.imag,
              "modulus_dev": abs(abs(pr.value) - 1.0), "residual": pr.residual, "ok": int(ok)}
         )
-    failures = sum(1 - r["ok"] for r in rows)
-    return rows, failures, f"{size} eigenpairs, {failures} failures"
+    return _checked(rows, "eigenpairs")
 
 
 def _eigenpair_ok(value: complex, residual: float, bc: BoundaryPair) -> bool:
@@ -461,18 +448,10 @@ def _eigenpair_ok(value: complex, residual: float, bc: BoundaryPair) -> bool:
     return residual < 1e-8 and (abs(abs(value) - 1.0) < 1e-8 or not bc.unimodular)
 
 
-def _task_localize(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    size = _param(p, "size", 128, int, lo=64)
-    bc = BoundaryPair(_param(p, "beta", [1.0, 0.0], _complex), _param(p, "gamma", [1.0, 0.0], _complex))
+def _task_localize(cfg: ExperimentConfig, rng, size, beta, gamma, rate_factor, r2_min, scale):
+    bc = BoundaryPair(beta, gamma)
     reports = localization_scan(
-        cfg.scheme,
-        size,
-        bc,
-        cfg.sampling,
-        rate_factor=_param(p, "rate_factor", 0.5),
-        r2_min=_param(p, "r2_min", 0.9),
-        scale=_param(p, "scale", None, int, lo=1) if "scale" in p else None,
+        cfg.scheme, size, bc, cfg.sampling, rate_factor=rate_factor, r2_min=r2_min, scale=scale
     )
     rows = [
         {
@@ -495,14 +474,8 @@ def _task_localize(cfg: ExperimentConfig, rng):
     return rows, failures, f"{len(rows)} eigenpairs, localized fraction {frac:.3f}"
 
 
-def _task_detform_check(cfg: ExperimentConfig, rng):
-    p = cfg.params
-    instances = _param(p, "instances", 100, int, lo=1)
-    n_min = _param(p, "n_min", 2, int, lo=2)
-    n_max = _param(p, "n_max", 12, int, lo=n_min)
-    tol = _param(p, "tolerance", 1e-8)
+def _task_detform_check(cfg: ExperimentConfig, rng, instances, n_min, n_max, tolerance):
     rows = []
-    failures = 0
     for i in range(instances):
         s = _random_scheme(rng)
         n = int(rng.integers(n_min, n_max + 1))
@@ -513,42 +486,75 @@ def _task_detform_check(cfg: ExperimentConfig, rng):
         rel = min(
             float(np.max(np.abs(viadet - direct))), float(np.max(np.abs(viadet + direct)))
         ) / max(scale, 1e-300)
-        ok = rel < tol
-        failures += 0 if ok else 1
         rows.append({"instance": i, "n": n, "z_re": z.real, "z_im": z.imag,
-                     "rel_err": rel, "ok": int(ok)})
-    return rows, failures, f"{instances} instances, {failures} failures"
+                     "rel_err": rel, "ok": int(rel < tolerance)})
+    return _checked(rows)
 
 
-_TASK_FNS = {
-    "dio-check": _task_dio_check,
-    "lyapunov": _task_lyapunov,
-    "ldt": _task_ldt,
-    "avalanche": _task_avalanche,
-    "multiscale": _task_multiscale,
-    "positivity": _task_positivity,
-    "uniform-bound": _task_uniform_bound,
-    "green-check": _task_green_check,
-    "davis-simon": _task_davis_simon,
-    "restriction-check": _task_restriction_check,
-    "spectrum": _task_spectrum,
-    "localize": _task_localize,
-    "detform-check": _task_detform_check,
+_Z = Param("z", _spectral, [1.0, 0.0])
+_TOLERANCE = Param("tolerance", default=1e-8)
+_BOUNDARY = (Param("beta", _complex, [1.0, 0.0]), Param("gamma", _complex, [1.0, 0.0]))
+
+TASKS = {
+    "lyapunov": Task(_task_lyapunov, True, (
+        Param("n", int, 100, lo=1), _Z, Param("z_list", _spectral, many=True), Param("z_circle", int, lo=1),
+    ), exclusive=(("z", "z_list", "z_circle"),)),
+    "ldt": Task(_task_ldt, True, (
+        _Z, Param("n_list", int, [20, 40, 80], lo=1, many=True),
+        Param("thresholds", many=True, ascending=True),
+        Param("threshold_factors", default=[0.1], many=True, ascending=True),
+    ), exclusive=(("thresholds", "threshold_factors"),)),
+    "avalanche": Task(_task_avalanche, False, (
+        Param("mode", _text, "hyperbolic", choices=("diagonal", "hyperbolic", "cocycle")),
+        Param("count", int, 50, lo=3), Param("mu", default=1e3), Param("block", int, 40, lo=1), _Z,
+    )),
+    "multiscale": Task(_task_multiscale, True, (
+        Param("n", int, 10, lo=1), Param("N", int, 100, lo=lambda v: v["n"] * v["n"]), _Z,
+    )),
+    "positivity": Task(_task_positivity, True, (Param("n", int, 200, lo=1), _Z)),
+    "uniform-bound": Task(_task_uniform_bound, True, (
+        Param("n0", int, 50, lo=1), Param("N", int, 500, lo=lambda v: v["n0"] + 1),
+        Param("grid_side", int, 32, lo=1), Param("sigma0", default=0.5), _Z,
+    )),
+    "green-check": Task(_task_green_check, False, (
+        Param("instances", int, 100, lo=1), Param("max_size", int, 32, lo=4), _TOLERANCE,
+        Param("dist_min", default=1e-3),
+    )),
+    "davis-simon": Task(_task_davis_simon, False, (
+        Param("instances", int, 200, lo=1), Param("max_size", int, 32, lo=2),
+    )),
+    "restriction-check": Task(_task_restriction_check, False, (
+        Param("instances", int, 40, lo=1), _TOLERANCE,
+    )),
+    "spectrum": Task(_task_spectrum, True, (Param("size", int, 64, lo=2), Param("a", int, 0), *_BOUNDARY)),
+    "localize": Task(_task_localize, True, (
+        Param("size", int, 128, lo=64), *_BOUNDARY, Param("rate_factor", default=0.5),
+        Param("r2_min", default=0.9), Param("scale", int, lo=1),
+    )),
+    "dio-check": Task(_task_dio_check, False, (
+        Param("omega"), Param("epsilon", default=0.1), Param("horizon", int, 10000, lo=1),
+    )),
+    "detform-check": Task(_task_detform_check, False, (
+        Param("instances", int, 100, lo=1), Param("n_min", int, 2, lo=2),
+        Param("n_max", int, 12, lo=lambda v: v["n_min"]), _TOLERANCE,
+    )),
 }
 
-_NEEDS_SCHEME = {
-    "lyapunov", "ldt", "multiscale", "positivity", "uniform-bound", "spectrum", "localize",
-}
+# the fields of a config document outside params
+_TOP_KEYS = ("task", "scheme", "params", "sampling", "output", "sweep")
+_SCHEME_KEYS = ("coefficients", "lambda", "omega", "base_x", "base_y")
+_SAMPLING = (
+    Param("mode", _text, "grid"), Param("grid_side", int, 24), Param("sample_count", int, 1024),
+    Param("rng_seed", int, 0, lo=0),
+)
+_OUTPUT = (Param("path", _text, "-"), Param("format", _text, "csv", choices=("csv", "json")))
+_SCHEME_AXES = ("lambda", "omega")
 
 
 def run(cfg: ExperimentConfig):
     """Execute one task; returns (rows, failures, summary). Rows carry the config hash."""
-    if cfg.task not in _TASK_FNS:
-        raise ConfigError(f"task: unknown task {cfg.task!r}")
-    if cfg.task in _NEEDS_SCHEME and cfg.scheme is None:
-        raise ConfigError(f"scheme: task {cfg.task!r} requires a scheme")
     rng = np.random.default_rng(cfg.sampling.rng_seed)
-    rows, failures, summary = _TASK_FNS[cfg.task](cfg, rng)
+    rows, failures, summary = TASKS[cfg.task].fn(cfg, rng, **cfg.values)
     h = cfg.config_hash
     for r in rows:
         r["config_hash"] = h
@@ -557,101 +563,93 @@ def run(cfg: ExperimentConfig):
 
 # --- sweep -------------------------------------------------------------------
 
-_AXIS_TARGETS = {"lambda", "omega", "n", "size", "z"}
-
-
-def _apply_axis(doc: dict, parameter: str, value) -> dict:
-    doc = json.loads(json.dumps(doc))  # deep copy
-    if parameter == "lambda":
-        doc["scheme"]["lambda"] = value
-    elif parameter == "omega":
-        doc["scheme"]["omega"] = value
-    elif parameter in ("n", "size"):
-        doc.setdefault("params", {})[parameter] = value
-    elif parameter == "z":
-        doc.setdefault("params", {})["z"] = value
-    else:
-        raise ConfigError(f"sweep.axes: unsupported parameter {parameter!r}")
+def _cell_doc(doc: dict, cell: tuple, seed: int) -> dict:
+    """A deep copy of `doc` with the cell's axis values and rng seed set."""
+    doc = json.loads(json.dumps(doc))
+    for parameter, value in cell:
+        on_scheme = parameter in _SCHEME_AXES and doc.get("scheme") is not None
+        (doc["scheme"] if on_scheme else doc.setdefault("params", {}))[parameter] = value
+    doc.setdefault("sampling", {})["rng_seed"] = seed
     return doc
 
 
 def run_sweep(doc: dict, axes: list, threads: int):
-    """Cartesian sweep; per-cell seed = hash(base seed, cell index); merged in cell order."""
-    for ax in axes:
-        if ax["parameter"] not in _AXIS_TARGETS:
-            raise ConfigError(f"sweep.axes: unsupported parameter {ax['parameter']!r}")
-    base_seed = int(doc.get("sampling", {}).get("rng_seed", 0))
-    cells = list(itertools.product(*[[(ax["parameter"], v) for v in ax["values"]] for ax in axes]))
+    """Cartesian sweep; per-cell seed = hash(base seed, cell index); merged in cell order.
 
-    def one(idx_cell):
-        idx, cell = idx_cell
-        cell_doc = doc
-        for parameter, value in cell:
-            cell_doc = _apply_axis(cell_doc, parameter, value)
-        cell_doc.setdefault("sampling", {})["rng_seed"] = _derive_seed(base_seed, idx)
-        cell_cfg = config_from_doc(cell_doc)
-        rows, failures, _ = run(cell_cfg)
+    Every cell's config is parsed before any cell runs.
+    """
+    base_seed = config_from_doc(dict(doc, sweep={"axes": axes})).sampling.rng_seed
+    cells = list(itertools.product(*[[(ax["parameter"], v) for v in ax["values"]] for ax in axes]))
+    cfgs = [config_from_doc(_cell_doc(doc, cell, _derive_seed(base_seed, i))) for i, cell in enumerate(cells)]
+
+    def one(idx):
+        rows, failures, _ = run(cfgs[idx])
         for r in rows:
             r["cell"] = idx
-            for parameter, value in cell:
+            for parameter, value in cells[idx]:
                 r[f"axis_{parameter}"] = json.dumps(value) if isinstance(value, list) else value
-        return idx, rows, failures
+        return rows, failures
 
-    indexed = list(enumerate(cells))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, indexed))
+            results = list(pool.map(one, range(len(cells))))
     else:
-        results = [one(ic) for ic in indexed]
-    results.sort(key=lambda t: t[0])
-    rows = [r for _, cell_rows, _ in results for r in cell_rows]
-    failures = sum(f for _, _, f in results)
+        results = [one(idx) for idx in range(len(cells))]
+    rows = [r for cell_rows, _ in results for r in cell_rows]
+    failures = sum(f for _, f in results)
     return rows, failures, f"{len(cells)} cells, {failures} failures"
 
 
 # --- config handling and entry point ------------------------------------------
 
 def config_from_doc(doc: dict) -> ExperimentConfig:
+    """The one config parser: checks `doc` at every level against TASKS before any work runs.
+
+    ConfigError names the offending field, and for an unknown key the task.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {doc!r}")
     task = doc.get("task")
     if not task:
         raise ConfigError("task: missing")
+    if not isinstance(task, str) or task not in TASKS:
+        raise ConfigError(f"task: unknown task {task!r}")
+    spec = TASKS[task]
+    _keys(task, "", doc, _TOP_KEYS)
     scheme = None
     if doc.get("scheme") is not None:
+        scheme_doc = _keys(task, "scheme", doc["scheme"], _SCHEME_KEYS)
         try:
-            scheme = scheme_from_json(json.dumps(doc["scheme"]))
+            scheme = scheme_from_json(json.dumps(scheme_doc))
         except (KeyError, TypeError, ValueError) as exc:  # SchemeError is a ValueError
             raise ConfigError(f"scheme: {exc}") from exc
-    sampling_doc = doc.get("sampling", {})
+    elif spec.needs_scheme:
+        raise ConfigError(f"scheme: task {task!r} requires a scheme")
+    params = doc.get("params", {})
+    values = _fields(task, "params", params, spec.params, spec.exclusive)
+    plan = _fields(task, "sampling", doc.get("sampling", {}), _SAMPLING)
     try:
-        sampling = SamplingConfig(
-            mode=sampling_doc.get("mode", "grid"),
-            grid_side=int(sampling_doc.get("grid_side", 24)),
-            sample_count=int(sampling_doc.get("sample_count", 1024)),
-            rng_seed=int(sampling_doc.get("rng_seed", 0)),
-        )
+        sampling = SamplingConfig(**plan)
     except ValueError as exc:
         raise ConfigError(f"sampling: {exc}") from exc
-    output = doc.get("output", {})
-    return ExperimentConfig(
-        task=task,
-        scheme=scheme,
-        params=doc.get("params", {}),
-        sampling=sampling,
-        out_path=output.get("path", "-"),
-        out_format=output.get("format", "csv"),
-        threads=int(doc.get("threads", 1)),
-    )
+    output = _fields(task, "output", doc.get("output", {}), _OUTPUT)
+    if "sweep" in doc:
+        # an axis sets a parameter the task takes, or the scheme's lambda or omega
+        takes = tuple(p.name for p in spec.params) + (_SCHEME_AXES if scheme else ())
+        axis = (Param("parameter", _text, "", choices=takes), Param("values", _as_is, [], many=True))
+        axes = _fields(task, "sweep", doc["sweep"], (Param("axes", _as_is, [], many=True),))["axes"]
+        for i, ax in enumerate(axes):
+            _fields(task, f"sweep.axes[{i}]", ax, axis)
+    return ExperimentConfig(task, scheme, params, values, sampling, output["path"], output["format"])
 
 
 def _rows_to_csv(rows: list) -> str:
     if not rows:
         return ""
-    fields = list(rows[0].keys())
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for r in rows:
-        writer.writerow(r)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -683,8 +681,7 @@ def main(argv=None) -> int:
         prog="skewcmv",
         description="Batch diagnostics for skew-shift CMV operator experiments.",
     )
-    parser.add_argument("task", nargs="?", choices=TASKS, help="task name (or use --task / config)")
-    parser.add_argument("--task", dest="task_flag", choices=TASKS)
+    parser.add_argument("task", nargs="?", choices=TASKS, help="task name; overrides the config's")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="overrides sampling.rng_seed")
     parser.add_argument("--out", help="output path ('-' for stdout)")
@@ -692,10 +689,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("CMV_THREADS", "1")),
-        help="sweep worker count; affects speed only, never output",
+        default=os.environ.get("CMV_THREADS", "1"),  # argparse converts a string default by `type`
+        help="sweep worker count (default: CMV_THREADS or 1); affects speed only, never output",
     )
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
 
     doc = {}
     if args.config:
@@ -704,20 +703,20 @@ def main(argv=None) -> int:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"--config: {exc}")
-    if args.task or args.task_flag:
-        doc["task"] = args.task_flag or args.task
-    if args.seed is not None:
-        doc.setdefault("sampling", {})["rng_seed"] = args.seed
-    if args.out:
-        doc.setdefault("output", {})["path"] = args.out
-    if args.format:
-        doc.setdefault("output", {})["format"] = args.format
-    doc["threads"] = args.threads
+    if not isinstance(doc, dict):
+        parser.error(f"config must be a JSON object, got {doc!r}")
+    if args.task:
+        doc["task"] = args.task
+    for section, key, value in (("sampling", "rng_seed", args.seed), ("output", "path", args.out),
+                                ("output", "format", args.format)):
+        # a section that is not an object is left for config_from_doc to reject
+        if value is not None and isinstance(doc.setdefault(section, {}), dict):
+            doc[section][key] = value
 
     try:
         cfg = config_from_doc(doc)
         if "sweep" in doc:
-            rows, failures, summary = run_sweep(doc, doc["sweep"]["axes"], cfg.threads)
+            rows, failures, summary = run_sweep(doc, doc["sweep"]["axes"], args.threads)
         else:
             rows, failures, summary = run(cfg)
     except ConfigError as exc:

@@ -37,6 +37,18 @@ def run_doc(doc):
     return run(config_from_doc(doc))
 
 
+def assert_exits_2(tmp_path, capsys, doc, *fragments, argv=()):
+    """The CLI run on `doc` exits 2, names every fragment on stderr and writes no output file."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg_path), "--out", str(tmp_path / "o.csv"), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(f in err for f in fragments), err
+    assert not (tmp_path / "o.csv").exists()
+
+
 class TestConfig:
     def test_missing_task_rejected(self):
         with pytest.raises(ConfigError):
@@ -84,7 +96,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "task, key, value",
         [("lyapunov", "n", math.nan), ("lyapunov", "z_circle", "four"), ("green-check", "tolerance", math.inf),
-         ("localize", "scale", math.nan)],
+         ("localize", "scale", math.nan), ("lyapunov", "z", [0, 0]), ("ldt", "z", [0, 0])],
     )
     def test_bad_param_exits_with_status_2(self, tmp_path, capsys, task, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -117,7 +129,8 @@ class TestConfig:
          ("lyapunov", {"z_list": [[math.nan, 0.0]]}, "z_list"), ("lyapunov", {"z_list": 1.0}, "z_list"),
          ("ldt", {"n_list": []}, "n_list"), ("ldt", {"n_list": [10, 0]}, "n_list"),
          ("ldt", {"thresholds": [0.1, math.inf]}, "thresholds"), ("ldt", {"thresholds": [0.5, 0.1]}, "thresholds"),
-         ("ldt", {"threshold_factors": []}, "threshold_factors"), ("spectrum", {"beta": [1.0]}, "beta")],
+         ("ldt", {"threshold_factors": []}, "threshold_factors"), ("spectrum", {"beta": [1.0]}, "beta"),
+         ("lyapunov", {"z_list": [[1, 0], [0, 0]]}, "z_list")],
     )
     def test_bad_list_param_exits_with_status_2(self, tmp_path, capsys, task, params, key):
         cfg_path = tmp_path / "cfg.json"
@@ -143,6 +156,45 @@ class TestConfig:
         h1 = config_from_doc(base_doc("lyapunov", {"n": 20})).config_hash
         h2 = config_from_doc(base_doc("lyapunov", {"n": 21})).config_hash
         assert h1 != h2
+
+    def test_hash_is_pinned(self):
+        # the reproducibility key of existing runs: any change to canonical() or to parsing shows here
+        assert config_from_doc(base_doc("lyapunov", {"n": 20})).config_hash == "7be96086294e84ea"
+        assert config_from_doc({"task": "green-check", "params": {"instances": 5}}).config_hash == "db62b1c16ef84fb6"
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [({"params": {"nn": 5}}, "params.nn"), ({"sampling": {"grid_sid": 0}}, "sampling.grid_sid"),
+         ({"outputt": {}}, "outputt"), ({"output": {"pth": "o.csv"}}, "output.pth"),
+         ({"sweep": {"axis": [{"parameter": "n", "values": [5]}]}}, "sweep.axis")],
+    )
+    def test_unknown_key_exits_with_status_2(self, tmp_path, capsys, extra, field):
+        doc = {**base_doc("lyapunov", {"n": 5}), **extra}
+        assert_exits_2(tmp_path, capsys, doc, f"{field}: unknown key for task 'lyapunov'")
+
+    @pytest.mark.parametrize(
+        "doc, fields",
+        [
+            ({**base_doc("lyapunov"), "output": {"format": "xml"}}, ["output.format"]),
+            ({**base_doc("lyapunov"), "sweep": {"axes": [{"parameter": "lambda"}]}}, ["sweep.axes[0].values"]),
+            ({**base_doc("lyapunov"), "sweep": {"axes": [{"parameter": "lambda", "values": []}]}},
+             ["sweep.axes[0].values"]),
+            ({**base_doc("lyapunov"), "sweep": {"axes": []}}, ["sweep.axes"]),
+            ({"task": "dio-check", "sweep": {"axes": [{"parameter": "lambda", "values": [0.5]}]}},
+             ["sweep.axes[0].parameter"]),
+            ({**base_doc("lyapunov"), "sweep": {"axes": [{"parameter": "size", "values": [64]}]}},
+             ["sweep.axes[0].parameter"]),
+            ({**base_doc("lyapunov", {"z_circle": 3}), "sweep": {"axes": [{"parameter": "z", "values": [1]}]}},
+             ["params.z", "params.z_circle"]),
+            ([1, 2], ["config must be a JSON object"]),
+            ({**base_doc("lyapunov"), "params": [1]}, ["params must be a JSON object"]),
+            (base_doc("lyapunov", {"z": [1, 0], "z_circle": 3}), ["params.z", "params.z_circle"]),
+            (base_doc("ldt", {"thresholds": [0.1], "threshold_factors": [0.2]}),
+             ["params.thresholds", "params.threshold_factors"]),
+        ],
+    )
+    def test_malformed_document_exits_with_status_2(self, tmp_path, capsys, doc, fields):
+        assert_exits_2(tmp_path, capsys, doc, *fields)
 
 
 class TestTasks:
@@ -305,10 +357,28 @@ class TestEntryPoint:
 
     def test_flag_overrides_config_task(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        doc = base_doc("lyapunov", {"n": 5, "omega": 0.5, "horizon": 3})
+        doc = base_doc("lyapunov", {"omega": 0.5, "horizon": 3})
         cfg_path.write_text(json.dumps(doc))
         rc = main(["dio-check", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
         assert rc == 0
+
+    def test_thread_count_does_not_change_json_output(self, tmp_path):
+        doc = base_doc("lyapunov", {"n": 20})
+        doc["sweep"] = {"axes": [{"parameter": "lambda", "values": [0.0, 0.5, 0.9]}]}
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "o.json"
+        cfg_path.write_text(json.dumps(doc))
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(["--config", str(cfg_path), "--out", str(out_path), "--format", "json",
+                         "--threads", threads]) == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, env", [(["--threads", "0"], None), ([], "abc"), ([], "0")])
+    def test_bad_thread_count_exits_with_status_2(self, tmp_path, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("CMV_THREADS", env)
+        assert_exits_2(tmp_path, capsys, {"task": "dio-check"}, "--threads", argv=argv)
 
     def test_console_invocation(self, tmp_path):
         out = tmp_path / "o.csv"
