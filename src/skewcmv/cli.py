@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cmv import BoundaryPair, assemble_window
+from .cmv import BoundaryPair, _in_disk, _write_atomic, assemble_window
 from .cocycle import scaling_factor, transfer_product, transfer_via_determinants
 from .green import davis_simon_gap, green_entry_via_polys, green_matrix, restriction_residual
 from .localization import localization_scan, window_spectrum
@@ -111,6 +111,18 @@ def _complex(value) -> complex:
     raise TypeError(f"cannot parse {value!r} as a complex number")
 
 
+def _positive(value) -> float:
+    v = float(value)
+    if not v > 0:
+        raise ValueError(f"must be > 0, got {v}")
+    return v
+
+
+def _boundary(value) -> complex:
+    """A boundary value beta or gamma: complex, in the closed unit disk as BoundaryPair requires."""
+    return _in_disk("value", _complex(value))
+
+
 def _spectral(value) -> complex:
     """A spectral parameter z: complex and nonzero, since the cocycle divides by sqrt(z)."""
     z = _complex(value)
@@ -146,6 +158,8 @@ def _value(where: str, p: Param, value, earlier: dict):
         raise ConfigError(f"{where} must be one of {', '.join(p.choices)}, got {value!r}")
     if isinstance(value, (int, float, complex)) and not cmath.isfinite(value):
         raise ConfigError(f"{where} must be finite, got {value}")
+    if p.kind is int and not -(2**63) <= value < 2**63:  # numpy takes the sizes and seeds as int64
+        raise ConfigError(f"{where} must fit in int64, got {value:.6g}")
     lo = p.lo(earlier) if callable(p.lo) else p.lo
     if lo is not None and value < lo:
         raise ConfigError(f"{where} must be >= {lo}, got {value}")
@@ -204,21 +218,18 @@ def _random_scheme(rng: np.random.Generator, max_coupling: float = 0.9) -> Verbl
     )
 
 
-def _random_unimodular(rng) -> complex:
-    return complex(np.exp(2j * np.pi * rng.random()))
+def _random_boundary(rng) -> BoundaryPair:
+    """Random unimodular beta and gamma, drawn in that order."""
+    beta = np.exp(2j * np.pi * rng.random())
+    return BoundaryPair(beta, np.exp(2j * np.pi * rng.random()))
 
 
-def _offcircle_z(rng, eigs, dist_min: float, radius_range=(1.0, 1.5)) -> complex:
+def _random_z(rng, window, dist_min: float, max_radius: float = 1.0) -> complex:
+    """A random z at distance >= dist_min from the window's spectrum, with |z| drawn from [1, max_radius) if above 1."""
+    eigs = np.linalg.eigvals(window.matrix)
     for _ in range(256):
-        z = rng.uniform(*radius_range) * np.exp(2j * np.pi * rng.random())
-        if np.min(np.abs(z - eigs)) >= dist_min:
-            return complex(z)
-    raise RuntimeError("could not place z away from the spectrum")
-
-
-def _oncircle_z(rng, eigs, dist_min: float) -> complex:
-    for _ in range(256):
-        z = np.exp(2j * np.pi * rng.random())
+        radius = rng.uniform(1.0, max_radius) if max_radius > 1.0 else 1.0
+        z = radius * np.exp(2j * np.pi * rng.random())
         if np.min(np.abs(z - eigs)) >= dist_min:
             return complex(z)
     raise RuntimeError("could not place z away from the spectrum")
@@ -370,10 +381,8 @@ def _task_green_check(cfg: ExperimentConfig, rng, instances, max_size, tolerance
         s = _random_scheme(rng)
         size = int(rng.integers(4, max_size + 1))
         a = int(rng.integers(-3, 4))
-        bc = BoundaryPair(_random_unimodular(rng), _random_unimodular(rng))
-        w = assemble_window(s, (a, a + size - 1), bc)
-        eigs = np.linalg.eigvals(w.matrix)
-        z = _oncircle_z(rng, eigs, dist_min)
+        w = assemble_window(s, (a, a + size - 1), _random_boundary(rng))
+        z = _random_z(rng, w, dist_min)
         j = int(rng.integers(w.a, w.b + 1))
         k = int(rng.integers(j, w.b + 1))
         direct = abs(green_matrix(w, z).entry(j, k))
@@ -392,10 +401,8 @@ def _task_davis_simon(cfg: ExperimentConfig, rng, instances, max_size):
         s = _random_scheme(rng)
         size = int(rng.integers(2, max_size + 1))
         a = int(rng.integers(-3, 4))
-        bc = BoundaryPair(_random_unimodular(rng), _random_unimodular(rng))
-        w = assemble_window(s, (a, a + size - 1), bc)
-        eigs = np.linalg.eigvals(w.matrix)
-        z = _offcircle_z(rng, eigs, 1e-6)
+        w = assemble_window(s, (a, a + size - 1), _random_boundary(rng))
+        z = _random_z(rng, w, 1e-6, max_radius=1.5)
         gap = davis_simon_gap(w, z)
         rows.append(
             {"instance": i, "size": size, "z_re": z.real, "z_im": z.imag,
@@ -410,11 +417,9 @@ def _task_restriction_check(cfg: ExperimentConfig, rng, instances, tolerance):
     for i in range(instances):
         s = _random_scheme(rng, max_coupling=0.8)
         a, b = parities[i % 4]
-        bc_outer = BoundaryPair(_random_unimodular(rng), _random_unimodular(rng))
-        big = assemble_window(s, (0, 31), bc_outer)
+        big = assemble_window(s, (0, 31), _random_boundary(rng))
         vals, vecs = np.linalg.eig(big.matrix)
-        bc_inner = BoundaryPair(_random_unimodular(rng), _random_unimodular(rng))
-        inner = assemble_window(s, (a, b), bc_inner)
+        inner = assemble_window(s, (a, b), _random_boundary(rng))
         inner_eigs = np.linalg.eigvals(inner.matrix)
         dists = np.array([np.min(np.abs(zv - inner_eigs)) for zv in vals])
         pick = int(np.argmax(dists))
@@ -493,7 +498,7 @@ def _task_detform_check(cfg: ExperimentConfig, rng, instances, n_min, n_max, tol
 
 _Z = Param("z", _spectral, [1.0, 0.0])
 _TOLERANCE = Param("tolerance", default=1e-8)
-_BOUNDARY = (Param("beta", _complex, [1.0, 0.0]), Param("gamma", _complex, [1.0, 0.0]))
+_BOUNDARY = (Param("beta", _boundary, [1.0, 0.0]), Param("gamma", _boundary, [1.0, 0.0]))
 
 TASKS = {
     "lyapunov": Task(_task_lyapunov, True, (
@@ -506,7 +511,7 @@ TASKS = {
     ), exclusive=(("thresholds", "threshold_factors"),)),
     "avalanche": Task(_task_avalanche, False, (
         Param("mode", _text, "hyperbolic", choices=("diagonal", "hyperbolic", "cocycle")),
-        Param("count", int, 50, lo=3), Param("mu", default=1e3), Param("block", int, 40, lo=1), _Z,
+        Param("count", int, 50, lo=3), Param("mu", _positive, 1e3), Param("block", int, 40, lo=1), _Z,
     )),
     "multiscale": Task(_task_multiscale, True, (
         Param("n", int, 10, lo=1), Param("N", int, 100, lo=lambda v: v["n"] * v["n"]), _Z,
@@ -651,13 +656,6 @@ def _rows_to_csv(rows: list) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _emit(doc: dict, cfg: ExperimentConfig, rows: list, summary: str) -> None:

@@ -52,6 +52,14 @@ class CoefficientError(ValueError):
     """Raised for coefficients outside the closed unit disk."""
 
 
+def _in_disk(name: str, value) -> complex:
+    """`value` as a complex number; CoefficientError naming it unless |value|^2 <= 1 + 4e-16, as in _theta."""
+    value = complex(value)
+    if abs(value) ** 2 > 1.0 + 4e-16:
+        raise CoefficientError(f"|{name}| = {abs(value):.6f} > 1")
+    return value
+
+
 def _theta(alphas) -> np.ndarray:
     """Blocks [[conj(alpha), rho], [rho, -alpha]] for every alpha at once, shape alphas.shape + (2, 2)."""
     alphas = np.asarray(alphas, dtype=complex)
@@ -155,11 +163,8 @@ class BoundaryPair:
     gamma: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        for name, v in (("beta", self.beta), ("gamma", self.gamma)):
-            if abs(v) > 1.0 + 4e-16:
-                raise CoefficientError(f"|{name}| = {abs(v):.6f} > 1")
+        for name in ("beta", "gamma"):
+            object.__setattr__(self, name, _in_disk(name, getattr(self, name)))
 
     @property
     def unimodular(self) -> bool:
@@ -307,16 +312,18 @@ def window_metadata(window: CMVWindow) -> dict:
     }
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through a temporary file and a rename, so readers never see a partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def export_window(window: CMVWindow, path_base: str) -> tuple[str, str]:
     """Write `<path_base>.mtx` and `<path_base>.json` atomically; returns the paths."""
     mtx_path = path_base + ".mtx"
     json_path = path_base + ".json"
-    for path, text in (
-        (mtx_path, window_to_matrixmarket(window)),
-        (json_path, json.dumps(window_metadata(window), sort_keys=True, indent=2) + "\n"),
-    ):
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+    _write_atomic(mtx_path, window_to_matrixmarket(window))
+    _write_atomic(json_path, json.dumps(window_metadata(window), sort_keys=True, indent=2) + "\n")
     return mtx_path, json_path

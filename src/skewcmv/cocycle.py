@@ -44,6 +44,10 @@ LANE_BLOCK = 8192
 # log-growth allowed between renormalizations: spectral_norms_2x2 raises entries
 # to the fourth power, and 4 * 150 stays below the float64 exponent limit of 709
 RENORM_LOG = 150.0
+# sl2r_conjugate rejects a matrix whose conjugate keeps an imaginary part this large
+_CONJUGATION_TOL = 1e-6
+# the strip widths h1 = h2 of scaling_factor's coefficient bound: chosen, not derived, and conservative
+_STRIP_WIDTH = 0.5
 
 
 class CocycleError(ValueError):
@@ -54,26 +58,26 @@ class ConjugationError(RuntimeError):
     """Raised when the SL(2,R) conjugation leaves a non-negligible imaginary part."""
 
 
-def circle_sqrt(z, branch: int = 1):
+def circle_sqrt(z):
     """sqrt(z), elementwise, on the branch exp(i theta / 2) with theta = arg(z) mod 2 pi.
 
-    branch=-1 negates.  Zero and non-finite z raise CocycleError.
+    Zero and non-finite z raise CocycleError.
     """
     z = np.asarray(z, dtype=complex)
     bad = z[~np.isfinite(z) | (z == 0)]
     if bad.size:
         raise CocycleError(f"spectral parameter z = {bad[0]} must be finite and nonzero")
     theta = np.angle(z) % (2.0 * np.pi)
-    return branch * np.sqrt(np.abs(z)) * np.exp(0.5j * theta)
+    return np.sqrt(np.abs(z)) * np.exp(0.5j * theta)
 
 
-def szego_matrix(alpha: complex, z: complex, branch: int = 1) -> np.ndarray:
+def szego_matrix(alpha: complex, z: complex) -> np.ndarray:
     """One-step determinant-one cocycle matrix at coefficient alpha and parameter z."""
     alpha = complex(alpha)
     if abs(alpha) >= 1.0:
         raise CocycleError(f"|alpha| = {abs(alpha):.6f} >= 1")
     rho = np.sqrt(1.0 - abs(alpha) ** 2)
-    sz = circle_sqrt(z, branch)
+    sz = circle_sqrt(z)
     return np.array(
         [[sz, -np.conj(alpha) / sz], [-alpha * sz, 1.0 / sz]], dtype=complex
     ) / rho
@@ -135,7 +139,7 @@ class FactoredProduct:
         return float(spectral_norms_2x2(np.exp(dls) * self.matrix - other.matrix))
 
 
-def product_batch(alphas: np.ndarray, z, branch: int = 1, carry=None):
+def product_batch(alphas: np.ndarray, z, carry=None):
     """Renormalized transfer products over a (Z, S) grid of spectral parameters x orbits.
 
     `alphas` has shape (n, S): column s holds alpha_0..alpha_{n-1} of one orbit.
@@ -152,7 +156,7 @@ def product_batch(alphas: np.ndarray, z, branch: int = 1, carry=None):
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
     n, S = alphas.shape
-    sz = circle_sqrt(np.reshape(z, -1), branch)
+    sz = circle_sqrt(np.reshape(z, -1))
     isz = 1.0 / sz
     ls, B, dl = (np.array(np.broadcast_to(c, (len(sz), S) + tail), dtype=t) for c, t, tail in
                  zip(carry or (0.0, np.eye(2), 0.0), (float, complex, complex), ((), (2, 2), ())))
@@ -185,9 +189,7 @@ def product_batch(alphas: np.ndarray, z, branch: int = 1, carry=None):
     return (ls, B, dl) if np.ndim(z) else (ls[0], B[0], dl[0])
 
 
-def transfer_product(
-    s: VerblunskyScheme, n: int, z: complex, branch: int = 1, base: np.ndarray | None = None
-) -> FactoredProduct:
+def transfer_product(s: VerblunskyScheme, n: int, z: complex, base: np.ndarray | None = None) -> FactoredProduct:
     """The n-step product M(T^{n-1}) ... M(T^0) in factored form.
 
     `base` optionally overrides the scheme's base phase as an (x, y) pair.
@@ -197,22 +199,22 @@ def transfer_product(
     if base is None:
         base = np.array([s.base.x, s.base.y])
     alphas = verblunsky_orbit_batch(s, n, np.asarray(base, dtype=float).reshape(1, 2))
-    ls, B, dl = product_batch(alphas, z, branch)
+    ls, B, dl = product_batch(alphas, z)
     return FactoredProduct(B[0], float(ls[0]), complex(dl[0]))
 
 
-def sl2r_conjugate(m: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def sl2r_conjugate(m: np.ndarray) -> np.ndarray:
     """Conjugate a cocycle matrix into SL(2, R) by the fixed unitary Q: A = Q* m Q.
 
     The result is returned with the imaginary part stripped; a residual
-    imaginary part >= tol signals a matrix outside the expected family
-    (wrong branch or |z| != 1) and raises ConjugationError.
+    imaginary part >= 1e-6 signals a matrix outside the expected family
+    (for example |z| != 1) and raises ConjugationError.
     """
     Q = SL2R_CONJUGATOR
     A = Q.conj().T @ np.asarray(m, dtype=complex) @ Q
     resid = float(np.max(np.abs(A.imag)))
-    if resid >= tol:
-        raise ConjugationError(f"conjugation residual {resid:.3e} >= {tol:.0e}")
+    if resid >= _CONJUGATION_TOL:
+        raise ConjugationError(f"conjugation residual {resid:.3e} >= {_CONJUGATION_TOL:.0e}")
     return A.real.copy()
 
 
@@ -233,15 +235,14 @@ class ScalingFactor:
     abs_z: float
 
 
-def scaling_factor(s: VerblunskyScheme, z: complex, h1: float = 0.5, h2: float = 0.5) -> ScalingFactor:
+def scaling_factor(s: VerblunskyScheme, z: complex) -> ScalingFactor:
     """Scaling factor used to normalize deviation thresholds and norm bounds.
 
-    The strip widths h1, h2 of the coefficient bound are configuration, not
-    derived; the defaults are deliberately conservative.
+    c_alpha is the coefficient bound on the analytic strip of widths h1 = h2 = 0.5.
     """
     lam = s.coupling
     sup_inv_rho = float((1.0 - lam**2 * s.grid_sup**2) ** -0.5)
-    c_alpha = s.sampler.strip_bound(h1, h2)
+    c_alpha = s.sampler.strip_bound(_STRIP_WIDTH, _STRIP_WIDTH)
     coupling_term = float((1.0 - lam**2) ** -1)
     raw = np.log(sup_inv_rho + c_alpha + coupling_term + abs(complex(z)))
     return ScalingFactor(

@@ -33,6 +33,13 @@ __all__ = [
     "restriction_residual",
 ]
 
+# green_matrix raises SpectrumError when max |(z L* - M) G - I| exceeds this
+_RESIDUAL_TOL = 1e-6
+# restriction_residual requires the difference equation to hold this well on the interior
+_EIGEN_TOL = 1e-10
+# green_decay_fit drops envelope values at or below this, the zeros a window can leave
+_ENVELOPE_FLOOR = 1e-300
+
 
 class SpectrumError(ValueError):
     """Raised when z is (numerically) in the spectrum of the window."""
@@ -53,8 +60,8 @@ class GreenMatrix:
         return complex(self.entries[j - self.window.a, k - self.window.a])
 
 
-def green_matrix(window: CMVWindow, z: complex, residual_tol: float = 1e-6) -> GreenMatrix:
-    """Dense solve for G = (z L* - M)^{-1}; a residual above residual_tol raises SpectrumError."""
+def green_matrix(window: CMVWindow, z: complex) -> GreenMatrix:
+    """Dense solve for G = (z L* - M)^{-1}; a residual above 1e-6 raises SpectrumError."""
     z = complex(z)
     A = z * window.L.conj().T - window.M
     try:
@@ -62,13 +69,13 @@ def green_matrix(window: CMVWindow, z: complex, residual_tol: float = 1e-6) -> G
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"solve failed at z = {z}: {exc}") from exc
     residual = float(np.max(np.abs(A @ G - np.eye(window.size))))
-    if residual > residual_tol:
-        raise SpectrumError(f"residual {residual:.3e} > {residual_tol:.0e}; z too close to spectrum")
+    if residual > _RESIDUAL_TOL:
+        raise SpectrumError(f"residual {residual:.3e} > {_RESIDUAL_TOL:.0e}; z too close to spectrum")
     return GreenMatrix(window, z, G, residual)
 
 
 def _logabs_charpoly(window: CMVWindow, lo: int, hi: int, z: complex) -> float:
-    """log |det(z - E_sub)| for the sub-window [lo, hi] of the window; empty intervals give 0.
+    """log |det(z - E_sub)| for the sub-window [lo, hi] of the window; empty intervals give 0, singular ones -inf.
 
     A sub-window reaching a cut keeps the window's beta at a-1 or gamma at b;
     an inner cut keeps the raw coefficient.
@@ -77,10 +84,7 @@ def _logabs_charpoly(window: CMVWindow, lo: int, hi: int, z: complex) -> float:
         return 0.0
     cuts = {window.a - 1: window.beta, window.b: window.gamma}
     band, _ = _window_band(window.raw_alphas[lo - window.a : hi - window.a + 2], lo, cuts)
-    sign, logdet = np.linalg.slogdet(z * np.eye(hi - lo + 1) - _dense(band))
-    if sign == 0:
-        return -np.inf
-    return float(logdet)
+    return float(np.linalg.slogdet(z * np.eye(hi - lo + 1) - _dense(band))[1])
 
 
 def green_entry_via_polys(window: CMVWindow, j: int, k: int, z: complex) -> float:
@@ -104,8 +108,8 @@ def green_entry_via_polys(window: CMVWindow, j: int, k: int, z: complex) -> floa
         raise IndexError(f"indices ({j}, {k}) outside window [{window.a}, {window.b}]")
     log_left = _logabs_charpoly(window, window.a, j - 1, z)
     log_right = _logabs_charpoly(window, k + 1, window.b, z)
-    sign, log_full = np.linalg.slogdet(z * np.eye(window.size) - window.matrix)
-    if sign == 0:
+    log_full = _logabs_charpoly(window, window.a, window.b, z)
+    if log_full == -np.inf:
         raise SpectrumError("z is in the window spectrum")
     log_rho = float(np.sum([np.log(window.raw_rho(i)) for i in range(j, k)])) if k > j else 0.0
     return float(np.exp(log_rho + log_left + log_right - log_full))
@@ -118,7 +122,16 @@ class DecayFit:
     r2: float
 
 
-def green_decay_fit(g: GreenMatrix, floor: float = 1e-300, max_distance: int | None = None) -> DecayFit:
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, r2) of the least-squares line through the points (x, y); r2 is 0 for constant y."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+
+
+def green_decay_fit(g: GreenMatrix) -> DecayFit:
     """Off-diagonal decay rate of log |G(j,k)| against |j - k|.
 
     A window with unimodular boundary is a closed cycle, so entries connecting
@@ -126,13 +139,13 @@ def green_decay_fit(g: GreenMatrix, floor: float = 1e-300, max_distance: int | N
     over all pairs sees them and reports garbage.  The fit therefore uses the
     per-distance envelope max_{|j-k|=d} |G|, restricted to d below half the
     window (where the direct path dominates the wrap-around), with block-of-2
-    maxima to bridge the parity sublattices.  Envelope values at or below
-    `floor` are dropped after flooring.
+    maxima to bridge the parity sublattices.  Envelope values that are zero
+    (at or below _ENVELOPE_FLOOR) are dropped.
     """
     size = g.window.size
     if size < 16:
         raise ValueError("decay fit needs window size >= 16")
-    dmax = max_distance if max_distance is not None else size // 2 - 2
+    dmax = size // 2 - 2
     mags = np.abs(g.entries)
     jj, kk = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     dist = np.abs(jj - kk).ravel()
@@ -140,23 +153,13 @@ def green_decay_fit(g: GreenMatrix, floor: float = 1e-300, max_distance: int | N
     envelope = np.zeros(dmax + 1)
     inside = dist <= dmax
     np.maximum.at(envelope, dist[inside], vals[inside])
-    n_buckets = dmax // 2
-    xs, ys = [], []
-    for m in range(1, n_buckets + 1):
-        e = max(envelope[2 * m - 1], envelope[2 * m], floor)
-        if e > floor:
-            xs.append(2 * m - 0.5)
-            ys.append(np.log(e))
-    if len(xs) < 3:
+    m = np.arange(1, dmax // 2 + 1)
+    e = np.maximum(envelope[2 * m - 1], envelope[2 * m])
+    keep = e > _ENVELOPE_FLOOR
+    if np.count_nonzero(keep) < 3:
         return DecayFit(rate=0.0, intercept=0.0, r2=0.0)
-    x = np.array(xs)
-    y = np.array(ys)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return DecayFit(rate=float(-slope), intercept=float(intercept), r2=float(r2))
+    slope, intercept, r2 = _line_fit(2.0 * m[keep] - 0.5, np.log(e[keep]))
+    return DecayFit(rate=-slope, intercept=intercept, r2=r2)
 
 
 @dataclass(frozen=True)
@@ -240,41 +243,34 @@ def tilde_boundary_values(window: CMVWindow, z: complex, psi_a, psi_a1, psi_b, p
     )
 
 
-def _check_eigen_sequence(window: CMVWindow, z: complex, psi: np.ndarray, tol: float) -> None:
-    """Verify E psi = z psi on the interior rows a+1 .. b-1 of the raw operator."""
-    # raw rows over [a-1, b+1]; rows a+1 .. b-1 read only alpha_{a-1} .. alpha_b, so the padding is free
-    band, _ = _window_band(np.pad(window.raw_alphas, 1), window.a - 1)
-    resid = _band_dot(band, psi[:, None])[:, 0] - z * psi
-    worst = float(np.max(np.abs(resid[2:-2]))) if len(resid) > 4 else float(np.max(np.abs(resid)))
-    if worst > tol:
-        raise SolutionError(f"eigen-equation residual {worst:.3e} > {tol:.0e} on the interior")
-
-
-def restriction_residual(window: CMVWindow, z: complex, psi: np.ndarray, eigen_tol: float = 1e-10) -> float:
+def restriction_residual(window: CMVWindow, z: complex, psi: np.ndarray) -> float:
     """Worst interior defect of psi(n) = G(n,a) psi~(a) + G(n,b) psi~(b).
 
     `psi` is the solution sampled on lattice sites a-1 .. b+1 (index 0 is
     a-1).  The solution must satisfy the raw difference equation on the
-    interior to `eigen_tol`, otherwise SolutionError is raised.
+    interior to 1e-10, otherwise SolutionError is raised.
     """
     psi = np.asarray(psi, dtype=complex)
     a, b = window.a, window.b
     if len(psi) != window.size + 2:
         raise ValueError(f"psi must cover [a-1, b+1] ({window.size + 2} values), got {len(psi)}")
     z = complex(z)
-    _check_eigen_sequence(window, z, psi, eigen_tol)
+    # E psi = z psi on the raw rows over [a-1, b+1]; the interior rows a+1 .. b-1 read only
+    # alpha_{a-1} .. alpha_b, so the padding is free
+    band, _ = _window_band(np.pad(window.raw_alphas, 1), a - 1)
+    resid = _band_dot(band, psi[:, None])[:, 0] - z * psi
+    defect = float(np.max(np.abs(resid[2:-2]))) if len(resid) > 4 else float(np.max(np.abs(resid)))
+    if defect > _EIGEN_TOL:
+        raise SolutionError(f"eigen-equation residual {defect:.3e} > {_EIGEN_TOL:.0e} on the interior")
 
     def at(n):
         return psi[n - (a - 1)]
 
     tv = tilde_boundary_values(window, z, at(a), at(a + 1), at(b), at(b - 1))
     A = z * window.L.conj().T - window.M
-    e_a = np.zeros(window.size, dtype=complex)
-    e_b = np.zeros(window.size, dtype=complex)
-    e_a[0] = 1.0
-    e_b[-1] = 1.0
-    col_a = np.linalg.solve(A, e_a)
-    col_b = np.linalg.solve(A, e_b)
+    ends = np.zeros((window.size, 2), dtype=complex)
+    ends[0, 0] = ends[-1, 1] = 1.0
+    col_a, col_b = np.linalg.solve(A, ends).T  # the columns of G at a and at b
     worst = 0.0
     for n in range(a + 1, b):
         pred = col_a[n - a] * tv.at_a + col_b[n - a] * tv.at_b

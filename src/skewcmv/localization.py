@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmv import _BAND, BoundaryPair, CMVWindow, _band_dot, assemble_window
+from .green import _line_fit
 from .lyapunov import SamplingConfig, estimate_Ln_many
 from .model import VerblunskyScheme
 
@@ -41,6 +42,8 @@ class EigenPair:
 _CLUSTER_SPACINGS = 0.3
 # columns per block when forming E V, which bounds the temporaries to N x 64
 _COLUMN_BLOCK = 64
+# decay_fit drops envelope points below this fraction of the peak, the noise plateau of localized vectors
+_NOISE_FLOOR = 1e-14
 
 
 def window_spectrum(window: CMVWindow) -> list:
@@ -142,14 +145,13 @@ class VectorDecayFit:
     r2: float
 
 
-def decay_fit(v: np.ndarray, noise_floor: float = 1e-14) -> VectorDecayFit:
+def decay_fit(v: np.ndarray) -> VectorDecayFit:
     """Exponential decay rate of an eigenvector from its two-sided envelope.
 
     The vector is max-normalized; components are bucketed by distance from the
     peak in blocks of 2 and the block maxima are fitted against the block
-    centers.  Points below `noise_floor` (relative) are dropped: localized
-    vectors plateau at machine noise and the plateau carries no rate
-    information.  Flat vectors (ipr < 2/size) return rate 0 with r2 0.
+    centers.  Points below _NOISE_FLOOR (relative) are dropped.  Flat vectors
+    (ipr < 2/size) return rate 0 with r2 0.
     """
     v = np.asarray(v)
     size = len(v)
@@ -166,17 +168,12 @@ def decay_fit(v: np.ndarray, noise_floor: float = 1e-14) -> VectorDecayFit:
     env = np.zeros(n_buckets)
     np.maximum.at(env, dist // 2, mags)
     xs = 2.0 * np.arange(n_buckets) + 0.5
-    keep = env > noise_floor
+    keep = env > _NOISE_FLOOR
     xs, ys = xs[keep], np.log(env[keep])
     if len(xs) < 3:
         return VectorDecayFit(center=center, rate=0.0, r2=0.0)
-    coef = np.polyfit(xs, ys, 1)
-    slope = coef[0]
-    pred = np.polyval(coef, xs)
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return VectorDecayFit(center=center, rate=float(max(-slope, 0.0) if -slope > -1e-6 else 0.0), r2=float(r2))
+    slope, _, r2 = _line_fit(xs, ys)
+    return VectorDecayFit(center=center, rate=max(-slope, 0.0) if -slope > -1e-6 else 0.0, r2=r2)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "task, key, value",
         [("lyapunov", "n", math.nan), ("lyapunov", "z_circle", "four"), ("green-check", "tolerance", math.inf),
-         ("localize", "scale", math.nan), ("lyapunov", "z", [0, 0]), ("ldt", "z", [0, 0])],
+         ("localize", "scale", math.nan), ("lyapunov", "z", [0, 0]), ("ldt", "z", [0, 0]),
+         ("spectrum", "gamma", 2.5), ("localize", "beta", [0.0, 1.5]), ("spectrum", "beta", 1.0000000000000004),
+         ("avalanche", "mu", 0), ("davis-simon", "max_size", 1e300)],
     )
     def test_bad_param_exits_with_status_2(self, tmp_path, capsys, task, key, value):
         cfg_path = tmp_path / "cfg.json"

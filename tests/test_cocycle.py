@@ -110,15 +110,6 @@ class TestTransferProduct:
             right = transfer_product(s, n1, z)
             assert left.compose(right).distance(transfer_product(s, n1 + n2, z)) < 1e-8
 
-    def test_branch_flip_negates_but_preserves_norms(self):
-        s = make_scheme({(1, 0): 0.4, (0, 1): 0.4}, 0.85, 0.7, base=(0.3, 0.9))
-        z = np.exp(2.2j)
-        plus = transfer_product(s, 7, z, branch=1)
-        minus = transfer_product(s, 7, z, branch=-1)
-        assert minus.log_scale == plus.log_scale
-        assert np.max(np.abs(minus.matrix + plus.matrix)) < 1e-14  # odd n: global -1
-        assert abs(minus.det() - plus.det()) < 1e-12
-
     def test_norm_bounded_by_scaling_factor(self):
         rng = np.random.default_rng(41)
         for _ in range(15):
@@ -265,7 +256,7 @@ class TestScalingFactor:
 
     def test_strip_bound_arithmetic(self):
         s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.5, 0.3)
-        sf = scaling_factor(s, 1.0, h1=0.5, h2=0.5)
+        sf = scaling_factor(s, 1.0)
         assert sf.c_alpha == pytest.approx(np.exp(np.pi), rel=1e-12)
 
     def test_monotone_in_coupling(self):

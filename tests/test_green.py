@@ -113,6 +113,12 @@ class TestEntryFormula:
         for (j, k) in [(1, 1), (1, 12), (3, 9), (5, 5)]:
             assert green_entry_via_polys(w, j, k, z) == pytest.approx(abs(g.entry(j, k)), rel=1e-8)
 
+    def test_spectral_point_rejected(self):
+        # beta = -1 puts z = 1 exactly in the free window's spectrum, so det(z - E) is exactly 0
+        w = assemble_window(make_scheme({(1, 0): 0.5}, 0.0, 0.3), (0, 7), BoundaryPair(-1.0, 1.0))
+        with pytest.raises(SpectrumError):
+            green_entry_via_polys(w, 0, 3, 1.0)
+
     def test_requires_circle(self):
         rng = np.random.default_rng(7)
         s = random_scheme(rng)
