@@ -82,13 +82,14 @@ class Param:
     """One config field: its converter, its default and its checks.
 
     With default None the field is None unless given.  `lo` is a lower bound,
-    or a function of the fields parsed before this one.
+    or a function of the fields parsed before this one; `hi` is an upper bound.
     """
 
     name: str
     kind: object = float
     default: object = None
     lo: object = None
+    hi: object = None
     choices: tuple = ()
     many: bool = False  # a nonempty list of such values
     ascending: bool = False
@@ -163,6 +164,8 @@ def _value(where: str, p: Param, value, earlier: dict):
     lo = p.lo(earlier) if callable(p.lo) else p.lo
     if lo is not None and value < lo:
         raise ConfigError(f"{where} must be >= {lo}, got {value}")
+    if p.hi is not None and value > p.hi:
+        raise ConfigError(f"{where} must be <= {p.hi}, got {value}")
     return value
 
 
@@ -497,6 +500,8 @@ def _task_detform_check(cfg: ExperimentConfig, rng, instances, n_min, n_max, tol
 
 
 _Z = Param("z", _spectral, [1.0, 0.0])
+# the largest window a task builds: its dense matrix takes 1 GiB at 8192 sites
+_MAX_SITES = 8192
 _TOLERANCE = Param("tolerance", default=1e-8)
 _BOUNDARY = (Param("beta", _boundary, [1.0, 0.0]), Param("gamma", _boundary, [1.0, 0.0]))
 
@@ -522,18 +527,20 @@ TASKS = {
         Param("grid_side", int, 32, lo=1), Param("sigma0", default=0.5), _Z,
     )),
     "green-check": Task(_task_green_check, False, (
-        Param("instances", int, 100, lo=1), Param("max_size", int, 32, lo=4), _TOLERANCE,
+        Param("instances", int, 100, lo=1), Param("max_size", int, 32, lo=4, hi=_MAX_SITES), _TOLERANCE,
         Param("dist_min", default=1e-3),
     )),
     "davis-simon": Task(_task_davis_simon, False, (
-        Param("instances", int, 200, lo=1), Param("max_size", int, 32, lo=2),
+        Param("instances", int, 200, lo=1), Param("max_size", int, 32, lo=2, hi=_MAX_SITES),
     )),
     "restriction-check": Task(_task_restriction_check, False, (
         Param("instances", int, 40, lo=1), _TOLERANCE,
     )),
-    "spectrum": Task(_task_spectrum, True, (Param("size", int, 64, lo=2), Param("a", int, 0), *_BOUNDARY)),
+    "spectrum": Task(_task_spectrum, True, (
+        Param("size", int, 64, lo=2, hi=_MAX_SITES), Param("a", int, 0), *_BOUNDARY,
+    )),
     "localize": Task(_task_localize, True, (
-        Param("size", int, 128, lo=64), *_BOUNDARY, Param("rate_factor", default=0.5),
+        Param("size", int, 128, lo=64, hi=_MAX_SITES), *_BOUNDARY, Param("rate_factor", default=0.5),
         Param("r2_min", default=0.9), Param("scale", int, lo=1),
     )),
     "dio-check": Task(_task_dio_check, False, (

@@ -11,8 +11,8 @@ the absolute lattice index).
 Every window comes from one builder, `_window_band`.  From the coefficients
 alpha_{a-1} .. alpha_b, the only ones E over [a, b] reads, and a substitution
 map it forms all Theta blocks at once and then E's five diagonals (Cantero,
-Moral & Velazquez 2003), each entry a single product L[i, k] M[k, j], in the
-LAPACK band layout the banded solvers take.  The dense E, L and M that dense
+Moral & Velazquez 2003), each entry a single product L[i, k] M[k, j], in
+LAPACK's general band layout.  The dense E, L and M that dense
 eigensolvers, export and the dense oracles need are scattered from the
 diagonals and the blocks on first use.
 """
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 _UNIMODULAR_TOL = 1e-12
-# half-bandwidth of E; the band layout is band[2 * _BAND + i - j, j] = E[i, j], and its
-# top _BAND rows stay zero for the fill-in of a banded LU (`gbsv`)
+# half-bandwidth of E; the band layout is band[_BAND + i - j, j] = E[i, j]
 _BAND = 2
 
 
@@ -107,9 +106,9 @@ def _window_band(alphas, a: int, substitutions: dict | None = None) -> tuple[np.
     rows[:, 0, 1:] = cols[:, 0]
     rows[:, 1, :4] = cols[:, 1]
     rows = rows.reshape(-1, 5)[a % 2 : a % 2 + n]  # the first L block's rows start at a - a % 2
-    band = np.zeros((3 * _BAND + 1, n), dtype=complex)
+    band = np.zeros((2 * _BAND + 1, n), dtype=complex)
     for d in range(-_BAND, _BAND + 1):
-        band[2 * _BAND - d, max(d, 0) : n + min(d, 0)] = rows[max(-d, 0) : n - max(d, 0), 2 + d]
+        band[_BAND - d, max(d, 0) : n + min(d, 0)] = rows[max(-d, 0) : n - max(d, 0), 2 + d]
     return band, blocks
 
 
@@ -120,7 +119,7 @@ def _dense(band: np.ndarray) -> np.ndarray:
     flat = E.reshape(-1)
     for k in range(-_BAND, _BAND + 1):  # E[j + k, j] for j0 <= j < j1, a stride of n + 1 in `flat`
         j0, j1 = max(-k, 0), n - max(k, 0)
-        flat[(j0 + k) * n + j0 :: n + 1][: j1 - j0] = band[2 * _BAND + k, j0:j1]
+        flat[(j0 + k) * n + j0 :: n + 1][: j1 - j0] = band[_BAND + k, j0:j1]
     return E
 
 
@@ -130,7 +129,7 @@ def _band_dot(band: np.ndarray, X: np.ndarray) -> np.ndarray:
     out = np.zeros(X.shape, dtype=complex)
     for k in range(-_BAND, _BAND + 1):  # out[i] += E[i, i - k] X[i - k]
         lo, hi = max(k, 0), n + min(k, 0)
-        out[lo:hi] += band[2 * _BAND + k, lo - k : hi - k, None] * X[lo - k : hi - k]
+        out[lo:hi] += band[_BAND + k, lo - k : hi - k, None] * X[lo - k : hi - k]
     return out
 
 
@@ -203,7 +202,7 @@ class CMVWindow:
     beta: complex
     gamma: complex
     raw_alphas: np.ndarray  # scheme values on lattice sites a-1 .. b
-    band: np.ndarray        # E in band layout, band[2 * _BAND + i - j, j] = E[i, j]
+    band: np.ndarray        # E in band layout, band[_BAND + i - j, j] = E[i, j]
     blocks: np.ndarray      # Theta blocks of the effective coefficients on a-1 .. b
     unimodular: bool
     scheme_ref: str = ""

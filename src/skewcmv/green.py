@@ -122,13 +122,26 @@ class DecayFit:
     r2: float
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """(slope, intercept, r2) of the least-squares line through the points (x, y); r2 is 0 for constant y."""
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+def _line_fit(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> tuple:
+    """Least-squares lines through the points (x[i], y[i, j]) with keep[i, j], one per column j.
+
+    Returns (slope, intercept, r2) arrays over the columns, from the centred
+    closed form; r2 is 0 for a column whose kept y are constant.  Every column
+    needs two kept points with distinct x, and y must be finite where keep is
+    False.
+    """
+    w = keep.astype(float)
+    count = np.sum(w, axis=0)
+    x = x[:, None]
+    mx = np.sum(w * x, axis=0) / count
+    my = np.sum(w * y, axis=0) / count
+    dx, dy = w * (x - mx), w * (y - my)
+    slope = np.sum(dx * dy, axis=0) / np.sum(dx * dx, axis=0)
+    intercept = my - slope * mx
+    ss_res = np.sum(w * (y - slope * x - intercept) ** 2, axis=0)
+    ss_tot = np.sum(dy * dy, axis=0)
+    r2 = np.where(ss_tot > 0, 1.0 - ss_res / np.where(ss_tot > 0, ss_tot, 1.0), 0.0)
+    return slope, intercept, r2
 
 
 def green_decay_fit(g: GreenMatrix) -> DecayFit:
@@ -158,8 +171,8 @@ def green_decay_fit(g: GreenMatrix) -> DecayFit:
     keep = e > _ENVELOPE_FLOOR
     if np.count_nonzero(keep) < 3:
         return DecayFit(rate=0.0, intercept=0.0, r2=0.0)
-    slope, intercept, r2 = _line_fit(2.0 * m[keep] - 0.5, np.log(e[keep]))
-    return DecayFit(rate=-slope, intercept=intercept, r2=r2)
+    slope, intercept, r2 = _line_fit(2.0 * m - 0.5, np.log(np.where(keep, e, 1.0))[:, None], keep[:, None])
+    return DecayFit(rate=-float(slope[0]), intercept=float(intercept[0]), r2=float(r2[0]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv import _BAND, BoundaryPair, CMVWindow, _band_dot, assemble_window
+from .cmv import _BAND, BoundaryPair, CMVWindow, _band_dot, _dense, assemble_window
 from .green import _line_fit
 from .lyapunov import SamplingConfig, estimate_Ln_many
 from .model import VerblunskyScheme
@@ -42,6 +42,10 @@ class EigenPair:
 _CLUSTER_SPACINGS = 0.3
 # columns per block when forming E V, which bounds the temporaries to N x 64
 _COLUMN_BLOCK = 64
+# shifts per _pencil_solve call: its work array takes 32 KiB per site, and fewer shifts
+# per call pay the per-row Python overhead more often (2048 sites on one core: 1.05 s
+# in calls of 256 shifts, 0.84 s in calls of 512, 0.88 s in one call of 2048)
+_LANE_BLOCK = 512
 # decay_fit drops envelope points below this fraction of the peak, the noise plateau of localized vectors
 _NOISE_FLOOR = 1e-14
 
@@ -55,25 +59,22 @@ def window_spectrum(window: CMVWindow) -> list:
     Other windows are not normal and take dense `eig`.  The per-pair residual
     ||E v - w v|| is recorded.
     """
-    import scipy.linalg  # imported here so the CLI tasks without a spectrum never pay scipy's load time
-
-    E, ab = window.matrix, window.band
     try:
         if window.unimodular:
-            V = _normal_eigvecs(E, ab)
+            V = _normal_eigvecs(window)
             w = None
         else:
-            w, V = scipy.linalg.eig(E)
+            w, V = np.linalg.eig(window.matrix)
             V /= np.linalg.norm(V, axis=0)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed on window {window.scheme_ref} [{window.a},{window.b}]: {exc}") from exc
-    w, resid = _residuals(ab, V, w)
+    w, resid = _residuals(window.band, V, w)
     order = np.argsort(np.angle(w) % (2.0 * np.pi), kind="stable")
     return [EigenPair(complex(w[i]), V[:, i], float(resid[i])) for i in order]
 
 
-def _normal_eigvecs(E: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of a normal E through the Hermitian H = (E + E*)/2.
+def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
+    """Unit eigenvectors of a unitary window E through the Hermitian H = (E + E*)/2.
 
     H has the eigenvectors of E and the eigenvalues cos(theta).  Its ascending
     eigenvalues are cut into groups wherever the gap reaches _CLUSTER_SPACINGS
@@ -81,34 +82,97 @@ def _normal_eigvecs(E: np.ndarray, ab: np.ndarray) -> np.ndarray:
     step with E, which separates the pairs e^{+-i theta} of conjugation-symmetric
     spectra and the crowded cos values near theta = 0, pi, where H's vectors are
     poorly determined.  Last, every vector takes one step of inverse iteration
-    with the band of E shifted by its Rayleigh quotient.  The back-transform
-    inside `eigh` leaves a floor of 1e-15 to 1e-14 on every site, far above the
-    true tail of a localized vector, and decay fits read it as a plateau; the
-    banded solve removes it.
-    """
-    import scipy.linalg  # loaded on first use, as in window_spectrum
+    with E shifted by its Rayleigh quotient.  The back-transform inside `eigh`
+    leaves a floor of 1e-15 to 1e-14 on every site, far above the true tail of
+    a localized vector, and decay fits read it as a plateau; the solve removes it.
 
-    n = len(E)
-    H = E.conj().T
-    H += E
-    H *= 0.5
-    c, V = scipy.linalg.eigh(H, overwrite_a=True)
-    del H
+    The step uses E - s = (L - s M*) M with M unitary and symmetric, so M* = conj(M):
+    (L - s conj(M)) y = v is tridiagonal, and x = conj(M) y.  `_pencil_solve`
+    takes _LANE_BLOCK shifts per call.  A shift that makes the system exactly
+    singular is an eigenvalue to working precision, and its vector stays.
+    """
+    ab = window.band
+    n = ab.shape[1]
+    c, V = np.linalg.eigh(_dense(_hermitian_part(ab)))
     cuts = np.flatnonzero(np.diff(c) >= _CLUSTER_SPACINGS * 2.0 / n) + 1
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
         if hi - lo > 1:
             g = slice(lo, hi)
             # Y has unit columns and V[:, g] orthonormal ones, so V[:, g] Y stays unit
-            _, Y = scipy.linalg.eig(V[:, g].conj().T @ _band_dot(ab, V[:, g]))
+            _, Y = np.linalg.eig(V[:, g].conj().T @ _band_dot(ab, V[:, g]))
             V[:, g] = V[:, g] @ Y
-    gbsv = scipy.linalg.get_lapack_funcs("gbsv", (ab,))
-    for i, shift in enumerate(_residuals(ab, V)[0]):
-        shifted = ab.copy()
-        shifted[2 * _BAND] -= shift
-        _, _, x, info = gbsv(_BAND, _BAND, shifted, V[:, i], overwrite_ab=True)
-        if info == 0:  # info > 0: an exactly zero pivot, the shift is an eigenvalue to working precision; v stays
-            V[:, i] = x / np.linalg.norm(x)
+    l_diag, l_off, m_diag, m_off = _lm_tridiagonals(window)
+    m_diag, m_off = m_diag.conj(), m_off.conj()  # now of conj(M)
+    shifts = _residuals(ab, V)[0]
+    for j in range(0, n, _LANE_BLOCK):
+        cols = np.arange(j, min(j + _LANE_BLOCK, n))
+        y = _pencil_solve(l_diag, l_off, m_diag, m_off, shifts[cols], V[:, cols])
+        solved = np.isfinite(y).all(axis=0)
+        y, cols = y[:, solved], cols[solved]
+        x = m_diag[:, None] * y
+        x[:-1] += m_off[:, None] * y[1:]
+        x[1:] += m_off[:, None] * y[:-1]
+        V[:, cols] = x / np.linalg.norm(x, axis=0)
     return V
+
+
+def _hermitian_part(ab: np.ndarray) -> np.ndarray:
+    """(E + E*)/2 in band layout, from the band layout of E."""
+    n = ab.shape[1]
+    hb = np.zeros_like(ab)
+    for k in range(-_BAND, _BAND + 1):  # H[j + k, j] = (E[j + k, j] + conj(E[j, j + k])) / 2
+        j0, j1 = max(-k, 0), n - max(k, 0)
+        hb[_BAND + k, j0:j1] = 0.5 * (ab[_BAND + k, j0:j1] + ab[_BAND - k, j0 + k : j1 + k].conj())
+    return hb
+
+
+def _lm_tridiagonals(window: CMVWindow) -> tuple:
+    """(diagonal, off-diagonal) of L, then of M, where E = L M; both are symmetric tridiagonal.
+
+    Site j takes the [0, 0] entry of its own Theta block and the [1, 1] entry of
+    the block at j - 1; its own block belongs to L at even j and to M at odd j,
+    and so does the off-diagonal entry rho_j that couples j and j + 1.
+    """
+    B = window.blocks  # B[m] sits at site a - 1 + m
+    own_is_l = (window.a + np.arange(window.size)) % 2 == 0
+    own, before, rho = B[1:, 0, 0], B[:-1, 1, 1], B[1:-1, 0, 1]
+    return (
+        np.where(own_is_l, own, before), np.where(own_is_l[:-1], rho, 0.0),
+        np.where(own_is_l, before, own), np.where(own_is_l[:-1], 0.0, rho),
+    )
+
+
+def _pencil_solve(a_diag, a_off, b_diag, b_off, shifts, rhs) -> np.ndarray:
+    """Y with (A - s_k B) Y[:, k] = rhs[:, k] for every shift s_k; A and B are symmetric tridiagonal.
+
+    A and B are given by their diagonals (n) and off-diagonals (n - 1).  Every
+    lane k is eliminated at once with partial pivoting by rows, as LAPACK
+    `gtsv` does, so the Python loop runs over the n rows.  A lane whose system
+    has an exactly zero pivot, or whose solution overflows, comes back with
+    non-finite entries and no warning.
+    """
+    n = len(a_diag)
+    # W[i] = (T[i, i - 1], T[i, i], T[i, i + 1], rhs[i]); row i of U and its rhs replace it
+    # in columns i .. i + 2 as the elimination passes, and two zero rows pad the back substitution
+    W = np.zeros((n + 2, 4, len(shifts)), dtype=complex)
+    W[:n, 1] = a_diag[:, None] - b_diag[:, None] * shifts
+    W[1:n, 0] = W[: n - 1, 2] = a_off[:, None] - b_off[:, None] * shifts
+    W[:n, 3] = rhs
+    row = np.zeros((4, len(shifts)), dtype=complex)  # row i in columns i .. i + 2 (the last stays 0), then its rhs
+    row[[0, 1, 3]] = W[0, 1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(n - 1):
+            nxt = W[i + 1]  # row i + 1 in columns i .. i + 2, then its rhs
+            swap = np.abs(row[0]) < np.abs(nxt[0])
+            pivot, other = np.where(swap, nxt, row), np.where(swap, row, nxt)
+            rest = other[1:] - (other[0] / pivot[0]) * pivot[1:]
+            W[i] = pivot
+            row[:2], row[3] = rest[:2], rest[2]
+        W[n - 1] = row
+        y = W[:, 3]
+        for i in range(n - 1, -1, -1):
+            y[i] = (y[i] - W[i, 1] * y[i + 1] - W[i, 2] * y[i + 2]) / W[i, 0]
+    return y[:n]
 
 
 def _residuals(ab: np.ndarray, V: np.ndarray, w: np.ndarray | None = None) -> tuple:
@@ -131,11 +195,15 @@ def _residuals(ab: np.ndarray, V: np.ndarray, w: np.ndarray | None = None) -> tu
     return w, resid
 
 
-def inverse_participation_ratio(v: np.ndarray) -> float:
-    """sum |v|^4 / (sum |v|^2)^2: ~1/size for flat vectors, ~1 for concentrated ones."""
+def inverse_participation_ratio(v: np.ndarray):
+    """sum |v|^4 / (sum |v|^2)^2: ~1/size for flat vectors, ~1 for concentrated ones.
+
+    A matrix gives an array with the ratio of each column.
+    """
     a2 = np.abs(np.asarray(v)) ** 2
-    s = float(np.sum(a2))
-    return float(np.sum(a2 * a2) / (s * s))
+    s = np.sum(a2, axis=0)
+    ratio = np.sum(a2 * a2, axis=0) / (s * s)
+    return float(ratio) if a2.ndim == 1 else ratio
 
 
 @dataclass(frozen=True)
@@ -145,35 +213,40 @@ class VectorDecayFit:
     r2: float
 
 
-def decay_fit(v: np.ndarray) -> VectorDecayFit:
+def decay_fit(v: np.ndarray):
     """Exponential decay rate of an eigenvector from its two-sided envelope.
 
     The vector is max-normalized; components are bucketed by distance from the
     peak in blocks of 2 and the block maxima are fitted against the block
     centers.  Points below _NOISE_FLOOR (relative) are dropped.  Flat vectors
-    (ipr < 2/size) return rate 0 with r2 0.
+    (ipr < 2/size) return rate 0 with r2 0.  A matrix is read as column
+    vectors and gives a list with the fit of each column, all fitted at once.
     """
     v = np.asarray(v)
     size = len(v)
     if size < 32:
         raise ValueError("decay fit needs vectors of length >= 32")
-    mags = np.abs(v)
-    mags = mags / np.max(mags)
-    center = int(np.argmax(mags))
-    if inverse_participation_ratio(v) < 2.0 / size:
-        return VectorDecayFit(center=center, rate=0.0, r2=0.0)
-    dist = np.abs(np.arange(size) - center)
-    max_d = int(np.max(dist))
-    n_buckets = max_d // 2 + 1
-    env = np.zeros(n_buckets)
-    np.maximum.at(env, dist // 2, mags)
-    xs = 2.0 * np.arange(n_buckets) + 0.5
+    mags = np.abs(v.reshape(size, -1))
+    mags /= np.max(mags, axis=0)
+    centers = np.argmax(mags, axis=0)
+    # env[b, j]: the largest mags[:, j] at distance 2b or 2b + 1 from its center, 0 where no site lies
+    n_buckets = (size + 1) // 2
+    padded = np.zeros((3 * size, mags.shape[1]))
+    padded[size : 2 * size] = mags
+    d = np.arange(2 * n_buckets)[:, None]
+    env = np.maximum(
+        np.take_along_axis(padded, size + centers + d, axis=0), np.take_along_axis(padded, size + centers - d, axis=0)
+    ).reshape(n_buckets, 2, -1).max(axis=1)
     keep = env > _NOISE_FLOOR
-    xs, ys = xs[keep], np.log(env[keep])
-    if len(xs) < 3:
-        return VectorDecayFit(center=center, rate=0.0, r2=0.0)
-    slope, _, r2 = _line_fit(xs, ys)
-    return VectorDecayFit(center=center, rate=max(-slope, 0.0) if -slope > -1e-6 else 0.0, r2=r2)
+    fitted = (np.sum(keep, axis=0) >= 3) & (inverse_participation_ratio(mags) >= 2.0 / size)
+    rates, r2s = np.zeros(len(centers)), np.zeros(len(centers))
+    if fitted.any():
+        xs = 2.0 * np.arange(n_buckets) + 0.5
+        ys = np.log(np.where(keep[:, fitted], env[:, fitted], 1.0))
+        slope, _, r2s[fitted] = _line_fit(xs, ys, keep[:, fitted])
+        rates[fitted] = np.where(slope < 0, -slope, 0.0)
+    fits = [VectorDecayFit(center=int(c), rate=float(r), r2=float(q)) for c, r, q in zip(centers, rates, r2s)]
+    return fits if v.ndim == 2 else fits[0]
 
 
 @dataclass(frozen=True)
@@ -211,9 +284,11 @@ def localization_scan(
     window = assemble_window(s, (0, size - 1), bc)
     pairs = window_spectrum(window)
     ests = estimate_Ln_many(s, [p.value for p in pairs], n_scale, cfg)
+    vectors = np.column_stack([p.vector for p in pairs])
+    fits = decay_fit(vectors)
+    iprs = inverse_participation_ratio(vectors)
     reports = []
-    for pair, est in zip(pairs, ests):
-        fit = decay_fit(pair.vector)
+    for pair, est, fit, ipr in zip(pairs, ests, fits, iprs):
         ref = est.mean
         flagged = bool(fit.rate >= rate_factor * ref and fit.r2 >= r2_min and ref > 0)
         reports.append(
@@ -223,7 +298,7 @@ def localization_scan(
                 center=fit.center,
                 rate=fit.rate,
                 r2=fit.r2,
-                ipr=inverse_participation_ratio(pair.vector),
+                ipr=float(ipr),
                 lyapunov_ref=ref,
                 localized=flagged,
             )

@@ -98,7 +98,8 @@ class TestConfig:
         [("lyapunov", "n", math.nan), ("lyapunov", "z_circle", "four"), ("green-check", "tolerance", math.inf),
          ("localize", "scale", math.nan), ("lyapunov", "z", [0, 0]), ("ldt", "z", [0, 0]),
          ("spectrum", "gamma", 2.5), ("localize", "beta", [0.0, 1.5]), ("spectrum", "beta", 1.0000000000000004),
-         ("avalanche", "mu", 0), ("davis-simon", "max_size", 1e300)],
+         ("avalanche", "mu", 0), ("davis-simon", "max_size", 1e300),
+         ("davis-simon", "max_size", 2**63 - 1), ("spectrum", "size", 200000)],
     )
     def test_bad_param_exits_with_status_2(self, tmp_path, capsys, task, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -418,13 +419,14 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_the_spectrum_routes_load_scipy():
-    """Import, the oracle tasks and lyapunov run on numpy alone; the spectrum route loads scipy."""
+def test_no_task_loads_scipy():
+    """Import, the oracle tasks, lyapunov and both spectrum routes run on numpy alone."""
     small = {"instances": 4}
     docs = [{"task": task, "params": small}
             for task in ("green-check", "detform-check", "davis-simon", "restriction-check")]
     docs.append(base_doc("lyapunov", {"n": 10, "z_circle": 2}, {"mode": "grid", "grid_side": 4}))
     docs.append(base_doc("spectrum", {"size": 16}))
+    docs.append(base_doc("localize", {"size": 64}, {"mode": "grid", "grid_side": 4}))
     env = dict(os.environ, PYTHONPATH=str(Path(skewcmv.cli.__file__).parents[1]))
     r = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(docs)],
                        capture_output=True, text=True, env=env)
@@ -432,5 +434,42 @@ def test_only_the_spectrum_routes_load_scipy():
     loaded = json.loads(r.stdout)
     assert loaded == {
         "import skewcmv": False, "import skewcmv.cli": False, "green-check": False, "detform-check": False,
-        "davis-simon": False, "restriction-check": False, "lyapunov": False, "spectrum": True,
+        "davis-simon": False, "restriction-check": False, "lyapunov": False, "spectrum": False, "localize": False,
     }
+
+
+# runs the CLI with every import of scipy failing, as on an installation without it
+_NO_SCIPY = r"""
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+for name in [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]:
+    del sys.modules[name]
+from skewcmv.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("task, params", [("spectrum", {"size": 32}), ("localize", {"size": 64})])
+def test_spectrum_tasks_run_without_scipy(tmp_path, task, params):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_doc(task, params, {"mode": "grid", "grid_side": 4})))
+    out = tmp_path / "o.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(skewcmv.cli.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-c", _NO_SCIPY, "--config", str(cfg_path), "--out", str(out),
+                        "--format", "json"], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == params["size"]  # exit status 0: every eigenpair passed its checks
+    blocked = subprocess.run([sys.executable, "-c", _NO_SCIPY.replace("from skewcmv.cli import main", "import scipy")],
+                             capture_output=True, text=True, env=env)
+    assert "ImportError" in blocked.stderr

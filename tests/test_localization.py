@@ -1,16 +1,20 @@
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from skewcmv.cmv import BoundaryPair, assemble_window
+from skewcmv import localization
 from skewcmv.localization import (
+    _lm_tridiagonals,
+    _pencil_solve,
     decay_fit,
     finite_size_drift,
     inverse_participation_ratio,
@@ -135,7 +139,7 @@ class TestNormalPath:
     @pytest.mark.parametrize("gamma,dense", [(0.5, True), (1.0, False)])
     def test_route_follows_unimodularity(self, monkeypatch, gamma, dense):
         calls = {"eig": [], "eigh": 0}
-        eig, eigh = scipy.linalg.eig, scipy.linalg.eigh
+        eig, eigh = np.linalg.eig, np.linalg.eigh
 
         def spy_eig(A, *args, **kwargs):
             calls["eig"].append(len(A))
@@ -145,15 +149,85 @@ class TestNormalPath:
             calls["eigh"] += 1
             return eigh(A, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eig", spy_eig)
-        monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(np.linalg, "eig", spy_eig)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
         s = make_scheme(TRIG, 0.9, GOLDEN, base=(0.2, 0.6))
         w = assemble_window(s, (0, 47), BoundaryPair(np.exp(0.7j), gamma))
         pairs = window_spectrum(w)
         assert (48 in calls["eig"]) == dense
         assert calls["eigh"] == (0 if dense else 1)
-        assert multiset_gap([p.value for p in pairs], eig(w.matrix, right=False)) < 1e-12
+        assert multiset_gap([p.value for p in pairs], scipy.linalg.eigvals(w.matrix)) < 1e-12
         assert max(p.residual for p in pairs) < 1e-11
+
+
+def tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestPencilSolve:
+    """The inverse-iteration step solves (A - s B) y = v for every shift s at once; numpy's dense solve is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 64), lanes=st.integers(1, 8), zeros=st.floats(0.0, 0.7), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_solve(self, n, lanes, zeros, seed):
+        rng = np.random.default_rng(seed)
+
+        def cnormal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        a_diag, a_off, b_diag, b_off = cnormal(n), cnormal(n - 1), cnormal(n), cnormal(n - 1)
+        # a zero diagonal in A and B zeroes that pivot for every shift, so the row below must be swapped in
+        gone = rng.random(n) < zeros
+        a_diag[gone] = b_diag[gone] = 0.0
+        shifts, rhs = cnormal(lanes), cnormal(n, lanes)
+        systems = [tridiagonal(a_diag - s * b_diag, a_off - s * b_off) for s in shifts]
+        # some zero patterns are singular for every shift (zeros at all odd sites of an odd-sized system)
+        assume(all(np.linalg.cond(T) < 1e10 for T in systems))
+        y = _pencil_solve(a_diag, a_off, b_diag, b_off, shifts, rhs)
+        for k, T in enumerate(systems):
+            want = np.linalg.solve(T, rhs[:, k])
+            cond = np.linalg.cond(T)
+            assert np.linalg.norm(T @ y[:, k] - rhs[:, k]) <= 1e-12 * np.linalg.norm(T) * np.linalg.norm(y[:, k])
+            assert np.linalg.norm(y[:, k] - want) <= 1e-12 * max(cond, 1.0) * np.linalg.norm(want)
+
+    def test_lane_blocks_agree(self, monkeypatch):
+        # windows above _LANE_BLOCK sites solve their shifts in several calls; each lane is independent
+        w = assemble_window(make_scheme(TRIG, 0.9, GOLDEN, base=(0.2, 0.6)), (0, 63), BoundaryPair(1.0, -1.0))
+        whole = window_spectrum(w)
+        monkeypatch.setattr(localization, "_LANE_BLOCK", 7)
+        for p, q in zip(whole, window_spectrum(w)):
+            assert abs(p.value - q.value) <= 1e-15
+            assert np.max(np.abs(p.vector - q.vector)) <= 1e-14
+
+    def test_exactly_singular_shift_keeps_the_ritz_vector(self, monkeypatch):
+        # at lambda = 0 the window is a signed permutation, and this one has the eigenvalue 1
+        # exactly: the shifted system has a zero pivot, and LAPACK's gbsv reported info > 0 here
+        w = assemble_window(make_scheme(TRIG, 0.0, GOLDEN), (0, 21), BoundaryPair(-1.0, 1.0))
+        l_diag, l_off, m_diag, m_off = _lm_tridiagonals(w)
+        rhs = np.ones((w.size, 2), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = _pencil_solve(l_diag, l_off, m_diag.conj(), m_off.conj(), np.array([1.0, 1j]), rhs)
+            assert not np.isfinite(y[:, 0]).all()
+            assert np.isfinite(y[:, 1]).all()
+
+            shifts = {}
+            solve = localization._pencil_solve
+
+            def spy(*args):
+                shifts["ritz"] = args[5].copy()
+                shifts["shifts"] = args[4]
+                return solve(*args)
+
+            monkeypatch.setattr(localization, "_pencil_solve", spy)
+            pairs = window_spectrum(w)
+        at_one = np.flatnonzero(shifts["shifts"] == 1.0)
+        assert len(at_one) == 1
+        ritz = shifts["ritz"][:, at_one[0]]
+        (kept,) = [p for p in pairs if p.value == 1.0]
+        assert np.array_equal(kept.vector, ritz)
+        assert max(p.residual for p in pairs) <= 1e-12
+        assert multiset_gap([p.value for p in pairs], scipy.linalg.eigvals(w.matrix)) <= 1e-12
 
 
 # the localize-scan benchmark's schemes for cases 3 and 7
@@ -185,6 +259,26 @@ def test_thouless_formula_off_the_circle(coeffs, omega, base):
         assert abs(est.mean - thouless) <= 0.02, z
 
 
+def polyfit_decay_fit(v) -> tuple:
+    """(center, rate, r2) of one vector, the envelope fitted by np.polyfit one vector at a time."""
+    size = len(v)
+    mags = np.abs(v) / np.max(np.abs(v))
+    center = int(np.argmax(mags))
+    if inverse_participation_ratio(v) < 2.0 / size:
+        return center, 0.0, 0.0
+    dist = np.abs(np.arange(size) - center)
+    env = np.zeros(int(np.max(dist)) // 2 + 1)
+    np.maximum.at(env, dist // 2, mags)
+    keep = env > 1e-14
+    xs, ys = 2.0 * np.arange(len(env))[keep] + 0.5, np.log(env[keep])
+    if len(xs) < 3:
+        return center, 0.0, 0.0
+    slope, intercept = np.polyfit(xs, ys, 1)
+    ss_res = np.sum((ys - slope * xs - intercept) ** 2)
+    ss_tot = np.sum((ys - np.mean(ys)) ** 2)
+    return center, max(-slope, 0.0), 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+
+
 class TestDecayFit:
     def test_synthetic_exponential(self):
         n = 128
@@ -214,6 +308,26 @@ class TestDecayFit:
         w = assemble_window(s, (0, 63), BoundaryPair(1.0, 1.0))
         rates = [decay_fit(p.vector).rate for p in window_spectrum(w)]
         assert np.median(rates) < 0.02
+
+    def test_batch_matches_per_vector_polyfit(self):
+        rng = np.random.default_rng(5)
+        n = 256
+        sites = np.arange(n)
+        columns = []
+        for _ in range(40):  # exponentials, some with parity oscillation, most with tails below the floor
+            c, rate = rng.integers(n), rng.uniform(0.02, 0.6)
+            v = np.exp(-rate * np.abs(sites - c) + 0.3 * rng.normal(size=n)) * (1.0 - rng.uniform(0, 0.9) * (sites % 2))
+            columns.append(v * np.exp(2j * np.pi * rng.random(n)))
+        columns += [np.ones(n), np.exp(2j * np.pi * rng.random(n)), np.eye(n)[17], np.eye(n)[0] + 1e-3 * np.eye(n)[2]]
+        window = assemble_window(make_scheme(TRIG, 0.9, GOLDEN, base=(0.31, 0.77)), (0, n - 1), BoundaryPair(1.0, 1.0))
+        V = np.column_stack(columns + [p.vector for p in window_spectrum(window)])
+        fits = decay_fit(V)
+        assert len(fits) == V.shape[1]
+        assert decay_fit(V[:, 3]) == fits[3]
+        for k, fit in enumerate(fits):
+            center, rate, r2 = polyfit_decay_fit(V[:, k])
+            assert fit.center == center
+            assert abs(fit.rate - rate) <= 1e-12 and abs(fit.r2 - r2) <= 1e-12, k
 
     def test_short_vector_rejected(self):
         with pytest.raises(ValueError):
