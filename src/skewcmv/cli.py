@@ -4,9 +4,12 @@ One binary, one task per invocation, JSON config file overridable by flags.
 Runs are deterministic given the config: sampling seeds are explicit, sweep
 cells derive their seeds by hashing (base seed, cell index), and the hash of
 the effective config is embedded in every output row.  Outputs are written
-atomically; the exit status is nonzero exactly when a hard invariant
-(unitarity, determinant preservation, oracle agreement) fails somewhere in the
-batch.
+atomically.  The exit status is 1 when a checked invariant fails somewhere in
+the batch: an oracle row of `green-check`, `davis-simon`, `restriction-check`
+or `detform-check`, an eigen residual or |w| - 1 of `spectrum` and `localize`,
+or the residual of `avalanche` in diagonal mode.  The other tasks check no
+invariant and always count 0 failures; ROADMAP item 3 (a run ledger) is to
+change that.
 """
 
 from __future__ import annotations
@@ -235,7 +238,7 @@ def _random_z(rng, window, dist_min: float, max_radius: float = 1.0) -> complex:
         z = radius * np.exp(2j * np.pi * rng.random())
         if np.min(np.abs(z - eigs)) >= dist_min:
             return complex(z)
-    raise RuntimeError("could not place z away from the spectrum")
+    raise ConfigError(f"params.dist_min: could not place z at distance >= {dist_min} from the spectrum")
 
 
 # --- task implementations ----------------------------------------------------
@@ -502,6 +505,12 @@ def _task_detform_check(cfg: ExperimentConfig, rng, instances, n_min, n_max, tol
 _Z = Param("z", _spectral, [1.0, 0.0])
 # the largest window a task builds: its dense matrix takes 1 GiB at 8192 sites
 _MAX_SITES = 8192
+# the most phases a sampling plan or uniform-bound's grid gives: the orbit and product
+# of one 256-step chunk take about 16 KiB per phase, 1 GiB at 256**2 phases
+_MAX_GRID_SIDE = 256
+_MAX_SAMPLES = _MAX_GRID_SIDE**2
+# the longest Diophantine scan: its arrays take about 80 bytes per n, 0.75 GiB at 10**7
+_MAX_HORIZON = 10**7
 _TOLERANCE = Param("tolerance", default=1e-8)
 _BOUNDARY = (Param("beta", _boundary, [1.0, 0.0]), Param("gamma", _boundary, [1.0, 0.0]))
 
@@ -524,11 +533,11 @@ TASKS = {
     "positivity": Task(_task_positivity, True, (Param("n", int, 200, lo=1), _Z)),
     "uniform-bound": Task(_task_uniform_bound, True, (
         Param("n0", int, 50, lo=1), Param("N", int, 500, lo=lambda v: v["n0"] + 1),
-        Param("grid_side", int, 32, lo=1), Param("sigma0", default=0.5), _Z,
+        Param("grid_side", int, 32, lo=1, hi=_MAX_GRID_SIDE), Param("sigma0", default=0.5), _Z,
     )),
     "green-check": Task(_task_green_check, False, (
         Param("instances", int, 100, lo=1), Param("max_size", int, 32, lo=4, hi=_MAX_SITES), _TOLERANCE,
-        Param("dist_min", default=1e-3),
+        Param("dist_min", _positive, 1e-3),
     )),
     "davis-simon": Task(_task_davis_simon, False, (
         Param("instances", int, 200, lo=1), Param("max_size", int, 32, lo=2, hi=_MAX_SITES),
@@ -544,7 +553,7 @@ TASKS = {
         Param("r2_min", default=0.9), Param("scale", int, lo=1),
     )),
     "dio-check": Task(_task_dio_check, False, (
-        Param("omega"), Param("epsilon", default=0.1), Param("horizon", int, 10000, lo=1),
+        Param("omega"), Param("epsilon", default=0.1), Param("horizon", int, 10000, lo=1, hi=_MAX_HORIZON),
     )),
     "detform-check": Task(_task_detform_check, False, (
         Param("instances", int, 100, lo=1), Param("n_min", int, 2, lo=2),
@@ -556,7 +565,8 @@ TASKS = {
 _TOP_KEYS = ("task", "scheme", "params", "sampling", "output", "sweep")
 _SCHEME_KEYS = ("coefficients", "lambda", "omega", "base_x", "base_y")
 _SAMPLING = (
-    Param("mode", _text, "grid"), Param("grid_side", int, 24), Param("sample_count", int, 1024),
+    Param("mode", _text, "grid"), Param("grid_side", int, 24, hi=_MAX_GRID_SIDE),
+    Param("sample_count", int, 1024, hi=_MAX_SAMPLES),
     Param("rng_seed", int, 0, lo=0),
 )
 _OUTPUT = (Param("path", _text, "-"), Param("format", _text, "csv", choices=("csv", "json")))

@@ -8,13 +8,15 @@ make the window unitary with an exact factorization E = L M into direct sums of
 2x2 blocks (even-indexed blocks in L, odd-indexed in M; parity is anchored to
 the absolute lattice index).
 
-Every window comes from one builder, `_window_band`.  From the coefficients
+Every window comes from one builder, `_window_band`, and it is the only place
+that knows which block belongs to which factor.  From the coefficients
 alpha_{a-1} .. alpha_b, the only ones E over [a, b] reads, and a substitution
-map it forms all Theta blocks at once and then E's five diagonals (Cantero,
-Moral & Velazquez 2003), each entry a single product L[i, k] M[k, j], in
-LAPACK's general band layout.  The dense E, L and M that dense
-eigensolvers, export and the dense oracles need are scattered from the
-diagonals and the blocks on first use.
+map it forms all Theta blocks at once and cuts them into `lm`, the diagonals
+and off-diagonals of the symmetric tridiagonals L and M.  E's five diagonals
+(Cantero, Moral & Velazquez 2003) are read off `lm`, each entry the single
+product L[i, k] M[k, j] that parity selects, in LAPACK's general band layout.
+The dense E that dense eigensolvers, export and the dense oracles need is
+scattered from the band on first use, and the dense L and M from `lm`.
 """
 
 from __future__ import annotations
@@ -80,36 +82,35 @@ def theta_block(alpha: complex) -> np.ndarray:
     return _theta(complex(alpha))
 
 
-def _window_band(alphas, a: int, substitutions: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """E over [a, b] in band layout, and the Theta blocks, from alphas[m] = alpha_{a-1+m}, m = 0 .. b-a+1.
+def _window_band(alphas, a: int, substitutions: dict | None = None) -> tuple[np.ndarray, tuple]:
+    """E over [a, b] in band layout, and lm = (l_diag, l_off, m_diag, m_off), from alphas[m] = alpha_{a-1+m}.
 
     `substitutions` maps lattice sites to replacement coefficients; sites
-    outside a-1 .. b do not enter E and are ignored.  Each L block, at an even
-    site p, gives rows p and p+1 of E = L M: L[p:p+2, p] M[p, p-1:p+1] in
-    columns p-1, p and L[p:p+2, p+1] M[p+1, p+1:p+3] in columns p+1, p+2, each
-    entry a single product.  Entries falling outside [a, b] are dropped.
+    outside a-1 .. b do not enter E and are ignored.  L and M are symmetric
+    tridiagonal over [a, b]: site j takes the [0, 0] entry of its own Theta
+    block and the [1, 1] entry of the block at j - 1; its own block belongs to
+    L at even j and to M at odd j, and so does the off-diagonal entry rho_j
+    that couples j and j + 1.  Each entry of E = L M is the one product that
+    parity selects, so no zero term is summed into it.
     """
     alphas = np.array(alphas, dtype=complex)
     for site, value in (substitutions or {}).items():
         if 0 <= site - (a - 1) < len(alphas):
             alphas[site - (a - 1)] = value
-    blocks = _theta(alphas)
+    blocks = _theta(alphas)  # blocks[m] sits at site a - 1 + m
     n = len(alphas) - 1
-    # T[m] is the block at site a-2+m; the zero blocks at a-2 and b+1 only reach dropped entries
-    T = np.zeros((n + 3, 2, 2), dtype=complex)
-    T[1:-1] = blocks
-    e = 2 - a % 2  # T[e] is the first L block, at site a or a-1
-    Lb, Ml, Mr = T[e : n + 2 : 2], T[e - 1 : n + 1 : 2], T[e + 1 : n + 3 : 2]
-    cols = np.concatenate([Lb[:, :, :1] * Ml[:, None, 1], Lb[:, :, 1:] * Mr[:, None, 0]], axis=2)
-    # rows[p + di, 2 + d] = E[p + di, p + di + d]: columns p-1 .. p+2 are offsets -1 .. 2 of row p, -2 .. 1 of row p+1
-    rows = np.zeros((len(Lb), 2, 5), dtype=complex)
-    rows[:, 0, 1:] = cols[:, 0]
-    rows[:, 1, :4] = cols[:, 1]
-    rows = rows.reshape(-1, 5)[a % 2 : a % 2 + n]  # the first L block's rows start at a - a % 2
+    own_is_l = (a + np.arange(n)) % 2 == 0
+    own, before, rho = blocks[1:, 0, 0], blocks[:-1, 1, 1], blocks[1:-1, 0, 1]
+    ld, md = np.where(own_is_l, own, before), np.where(own_is_l, before, own)
+    pair = own_is_l[:-1]  # pair[i]: L couples i and i + 1, else M does
+    lo, mo = np.where(pair, rho, 0.0), np.where(pair, 0.0, rho)
     band = np.zeros((2 * _BAND + 1, n), dtype=complex)
-    for d in range(-_BAND, _BAND + 1):
-        band[_BAND - d, max(d, 0) : n + min(d, 0)] = rows[max(-d, 0) : n - max(d, 0), 2 + d]
-    return band, blocks
+    band[_BAND] = ld * md
+    band[_BAND - 1, 1:] = np.where(pair, lo * md[1:], ld[:-1] * mo)   # E[i, i + 1]
+    band[_BAND + 1, :-1] = np.where(pair, lo * md[:-1], ld[1:] * mo)  # E[i + 1, i]
+    band[_BAND - 2, 2:] = np.where(pair[:-1], lo[:-1] * mo[1:], 0.0)  # E[i, i + 2]
+    band[_BAND + 2, :-2] = np.where(pair[1:], lo[1:] * mo[:-1], 0.0)  # E[i + 2, i]
+    return band, (ld, lo, md, mo)
 
 
 def _dense(band: np.ndarray) -> np.ndarray:
@@ -133,21 +134,24 @@ def _band_dot(band: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _direct_sum(blocks: np.ndarray, a: int, parity: int) -> np.ndarray:
-    """Dense direct sum over [a, b] of the blocks at the sites of `parity`, cut at the window's edges.
+def _hermitian_part(band: np.ndarray) -> np.ndarray:
+    """(E + E*)/2 in band layout, from the band layout of E."""
+    n = band.shape[1]
+    hb = np.zeros_like(band)
+    for k in range(-_BAND, _BAND + 1):  # H[j + k, j] = (E[j + k, j] + conj(E[j, j + k])) / 2
+        j0, j1 = max(-k, 0), n - max(k, 0)
+        hb[_BAND + k, j0:j1] = 0.5 * (band[_BAND + k, j0:j1] + band[_BAND - k, j0 + k : j1 + k].conj())
+    return hb
 
-    `blocks[m]` sits at lattice site a-1+m.  The selected blocks make a
-    block-diagonal matrix over the sites from a-1+m0 on, which is cut back to [a, b].
-    """
-    n = len(blocks) - 1
-    m0 = (a - 1 - parity) % 2  # the first selected block, at site a-1 or a
-    sel = blocks[m0::2]
-    k = np.arange(len(sel))
-    D = np.zeros((len(sel), 2, len(sel), 2), dtype=complex)
-    D[k, :, k, :] = sel
-    D = D.reshape(2 * len(sel), 2 * len(sel))
-    s = 1 - m0  # the row of site a in D
-    return D[s : s + n, s : s + n]
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix with these diagonal and off-diagonal entries."""
+    n = len(diag)
+    T = np.zeros((n, n), dtype=complex)
+    flat = T.reshape(-1)
+    flat[:: n + 1] = diag
+    flat[1 :: n + 1] = flat[n :: n + 1] = off
+    return T
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,9 @@ class CMVWindow:
     `raw_alphas` holds the scheme's unmodified coefficients on [a-1, b]
     (needed by the determinant identities and the boundary-value formulas);
     the effective sequence replaces the values at a-1 and b by beta and gamma.
-    `band` holds E's five diagonals and `blocks` the Theta blocks of the
-    effective sequence; the dense `matrix` (E), `L` and `M` are made from them
-    on first use.
+    `band` holds E's five diagonals and `lm` the diagonals and off-diagonals of
+    the symmetric tridiagonal factors L and M.  The dense `matrix` (E) is
+    scattered from `band` on first use, and the dense `L` and `M` from `lm`.
     """
 
     a: int
@@ -203,7 +207,7 @@ class CMVWindow:
     gamma: complex
     raw_alphas: np.ndarray  # scheme values on lattice sites a-1 .. b
     band: np.ndarray        # E in band layout, band[_BAND + i - j, j] = E[i, j]
-    blocks: np.ndarray      # Theta blocks of the effective coefficients on a-1 .. b
+    lm: tuple               # (l_diag, l_off, m_diag, m_off) of E = L M
     unimodular: bool
     scheme_ref: str = ""
 
@@ -218,11 +222,11 @@ class CMVWindow:
 
     @cached_property
     def L(self) -> np.ndarray:
-        return _direct_sum(self.blocks, self.a, 0)
+        return _tridiagonal(*self.lm[:2])
 
     @cached_property
     def M(self) -> np.ndarray:
-        return _direct_sum(self.blocks, self.a, 1)
+        return _tridiagonal(*self.lm[2:])
 
     def raw_alpha(self, n: int) -> complex:
         if not self.a - 1 <= n <= self.b:
@@ -247,7 +251,7 @@ def assemble_window(s: VerblunskyScheme, interval, bc: BoundaryPair) -> CMVWindo
     if b - a + 1 < 2:
         raise ValueError("window size must be >= 2")
     raw = verblunsky_range(s, a - 1, b)
-    band, blocks = _window_band(raw, a, {a - 1: bc.beta, b: bc.gamma})
+    band, lm = _window_band(raw, a, {a - 1: bc.beta, b: bc.gamma})
     return CMVWindow(
         a=a,
         b=b,
@@ -255,7 +259,7 @@ def assemble_window(s: VerblunskyScheme, interval, bc: BoundaryPair) -> CMVWindo
         gamma=bc.gamma,
         raw_alphas=raw,
         band=band,
-        blocks=blocks,
+        lm=lm,
         unimodular=bc.unimodular,
         scheme_ref=scheme_hash(s),
     )

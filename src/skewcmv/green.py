@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv import CMVWindow, _band_dot, _dense, _window_band
+from .cmv import CMVWindow, _band_dot, _dense, _tridiagonal, _window_band
 
 __all__ = [
     "SpectrumError",
@@ -60,10 +60,16 @@ class GreenMatrix:
         return complex(self.entries[j - self.window.a, k - self.window.a])
 
 
+def _pencil(window: CMVWindow, z: complex) -> np.ndarray:
+    """z L* - M, dense; L is symmetric, so L* = conj(L) and the pencil is tridiagonal."""
+    l_diag, l_off, m_diag, m_off = window.lm
+    return _tridiagonal(z * l_diag.conj() - m_diag, z * l_off.conj() - m_off)
+
+
 def green_matrix(window: CMVWindow, z: complex) -> GreenMatrix:
     """Dense solve for G = (z L* - M)^{-1}; a residual above 1e-6 raises SpectrumError."""
     z = complex(z)
-    A = z * window.L.conj().T - window.M
+    A = _pencil(window, z)
     try:
         G = np.linalg.solve(A, np.eye(window.size))
     except np.linalg.LinAlgError as exc:
@@ -280,7 +286,7 @@ def restriction_residual(window: CMVWindow, z: complex, psi: np.ndarray) -> floa
         return psi[n - (a - 1)]
 
     tv = tilde_boundary_values(window, z, at(a), at(a + 1), at(b), at(b - 1))
-    A = z * window.L.conj().T - window.M
+    A = _pencil(window, z)
     ends = np.zeros((window.size, 2), dtype=complex)
     ends[0, 0] = ends[-1, 1] = 1.0
     col_a, col_b = np.linalg.solve(A, ends).T  # the columns of G at a and at b

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv import _BAND, BoundaryPair, CMVWindow, _band_dot, _dense, assemble_window
+from .cmv import BoundaryPair, CMVWindow, _band_dot, _dense, _hermitian_part, assemble_window
 from .green import _line_fit
 from .lyapunov import SamplingConfig, estimate_Ln_many
 from .model import VerblunskyScheme
@@ -101,7 +101,7 @@ def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
             # Y has unit columns and V[:, g] orthonormal ones, so V[:, g] Y stays unit
             _, Y = np.linalg.eig(V[:, g].conj().T @ _band_dot(ab, V[:, g]))
             V[:, g] = V[:, g] @ Y
-    l_diag, l_off, m_diag, m_off = _lm_tridiagonals(window)
+    l_diag, l_off, m_diag, m_off = window.lm
     m_diag, m_off = m_diag.conj(), m_off.conj()  # now of conj(M)
     shifts = _residuals(ab, V)[0]
     for j in range(0, n, _LANE_BLOCK):
@@ -114,32 +114,6 @@ def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
         x[1:] += m_off[:, None] * y[:-1]
         V[:, cols] = x / np.linalg.norm(x, axis=0)
     return V
-
-
-def _hermitian_part(ab: np.ndarray) -> np.ndarray:
-    """(E + E*)/2 in band layout, from the band layout of E."""
-    n = ab.shape[1]
-    hb = np.zeros_like(ab)
-    for k in range(-_BAND, _BAND + 1):  # H[j + k, j] = (E[j + k, j] + conj(E[j, j + k])) / 2
-        j0, j1 = max(-k, 0), n - max(k, 0)
-        hb[_BAND + k, j0:j1] = 0.5 * (ab[_BAND + k, j0:j1] + ab[_BAND - k, j0 + k : j1 + k].conj())
-    return hb
-
-
-def _lm_tridiagonals(window: CMVWindow) -> tuple:
-    """(diagonal, off-diagonal) of L, then of M, where E = L M; both are symmetric tridiagonal.
-
-    Site j takes the [0, 0] entry of its own Theta block and the [1, 1] entry of
-    the block at j - 1; its own block belongs to L at even j and to M at odd j,
-    and so does the off-diagonal entry rho_j that couples j and j + 1.
-    """
-    B = window.blocks  # B[m] sits at site a - 1 + m
-    own_is_l = (window.a + np.arange(window.size)) % 2 == 0
-    own, before, rho = B[1:, 0, 0], B[:-1, 1, 1], B[1:-1, 0, 1]
-    return (
-        np.where(own_is_l, own, before), np.where(own_is_l[:-1], rho, 0.0),
-        np.where(own_is_l, before, own), np.where(own_is_l[:-1], 0.0, rho),
-    )
 
 
 def _pencil_solve(a_diag, a_off, b_diag, b_off, shifts, rhs) -> np.ndarray:

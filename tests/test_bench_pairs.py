@@ -56,3 +56,35 @@ def test_mismatched_runs_rejected():
         summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         summarize([], [], "lower")
+
+
+def test_regression_verdict_worse_beyond_the_bound():
+    base = [1.0, 1.0, 1.0, 1.0]  # median 1.0, IQR 0
+    # lower is better: a median 1.3 is 30% worse, beyond a bound of 0.24
+    assert summarize(base, [1.3] * 4, "lower", 0.24)["regression"] == "worse"
+    # 20% worse stays within it
+    assert summarize(base, [1.2] * 4, "lower", 0.24)["regression"] == "none"
+    # higher is better: a median 0.7 is 30% worse
+    assert summarize(base, [0.7] * 4, "higher", 0.24)["regression"] == "worse"
+    assert summarize(base, [1.3] * 4, "higher", 0.24)["regression"] == "none"
+
+
+def test_regression_verdict_unresolved_when_the_base_spreads_beyond_the_bound():
+    base = [1.0, 2.0, 3.0, 4.0]  # median 2.5, quartiles 1.75 and 3.25: IQR 1.5 > 0.24 * 2.5
+    s = summarize(base, [2.5, 2.5, 2.5, 2.5], "lower", 0.24)
+    assert s["regression"] == "unresolved"
+    # a worse median beyond the bound is a regression however wide the spread
+    assert summarize(base, [4.0, 4.0, 4.0, 4.0], "lower", 0.24)["regression"] == "worse"
+    # every change run beating every base run resolves it
+    assert summarize(base, [0.5, 0.6, 0.7, 0.8], "lower", 0.24)["regression"] == "none"
+    assert summarize(base, [4.5, 5.0, 5.5, 6.0], "higher", 0.24)["regression"] == "none"
+    # a change run tied with the best base run does not beat it
+    assert summarize(base, [1.0, 0.6, 0.7, 0.8], "lower", 0.24)["regression"] == "unresolved"
+
+
+def test_regression_verdict_none_within_a_narrow_base():
+    base = [10.0, 10.2, 10.4, 10.6]  # median 10.3, IQR 0.3 < 0.1 * 10.3
+    s = summarize(base, [10.5, 10.9, 11.0, 11.1], "lower", 0.1)  # median 10.95: 6.3% worse
+    assert s["regression"] == "none"
+    # without a bound there is no verdict
+    assert summarize(base, base, "lower")["regression"] is None

@@ -144,6 +144,21 @@ class TestConfig:
         assert f"params.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "task, section, key",
+        [("lyapunov", "sampling", "grid_side"), ("lyapunov", "sampling", "sample_count"),
+         ("uniform-bound", "params", "grid_side"), ("dio-check", "params", "horizon")],
+    )
+    def test_size_above_its_cap_exits_with_status_2(self, tmp_path, capsys, task, section, key):
+        doc = base_doc(task)
+        doc[section] = {key: 2**62}
+        assert_exits_2(tmp_path, capsys, doc, f"{section}.{key} must be <= ")
+
+    @pytest.mark.parametrize("dist_min, fragment", [(-1, "must be > 0"), (0, "must be > 0"), (3, "could not place z")])
+    def test_green_check_bad_dist_min_exits_with_status_2(self, tmp_path, capsys, dist_min, fragment):
+        doc = {"task": "green-check", "params": {"instances": 2, "dist_min": dist_min}}
+        assert_exits_2(tmp_path, capsys, doc, f"params.dist_min: {fragment}")
+
     def test_non_finite_dio_check_omega_rejected(self):
         with pytest.raises(ConfigError, match="params.omega must be finite"):
             run_doc({"task": "dio-check", "params": {"omega": math.nan}})

@@ -13,7 +13,6 @@ from scipy.optimize import linear_sum_assignment
 from skewcmv.cmv import BoundaryPair, assemble_window
 from skewcmv import localization
 from skewcmv.localization import (
-    _lm_tridiagonals,
     _pencil_solve,
     decay_fit,
     finite_size_drift,
@@ -203,7 +202,7 @@ class TestPencilSolve:
         # at lambda = 0 the window is a signed permutation, and this one has the eigenvalue 1
         # exactly: the shifted system has a zero pivot, and LAPACK's gbsv reported info > 0 here
         w = assemble_window(make_scheme(TRIG, 0.0, GOLDEN), (0, 21), BoundaryPair(-1.0, 1.0))
-        l_diag, l_off, m_diag, m_off = _lm_tridiagonals(w)
+        l_diag, l_off, m_diag, m_off = w.lm
         rhs = np.ones((w.size, 2), dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -16,8 +16,12 @@ median and quartiles, the ratio of the medians (change / base), how many pairs
 the change won (ties count for neither side), and whether the gain rule holds:
 at least ten pairs, the change wins at least nine tenths of them, and the
 medians differ, in the better direction, by more than the base's interquartile
-range.  The file is rewritten after every pair, so an interrupted run keeps what
-it measured.
+range.  It also gives the regression verdict under the metric's `bound`:
+"worse" when the change's median is worse than the base's by more than `bound`
+times the base median; else "unresolved" when the base's interquartile range
+exceeds that same margin, unless every change run beats every base run; else
+"none".  The file is rewritten after every pair, so an interrupted run keeps
+what it measured.
 """
 
 from __future__ import annotations
@@ -38,15 +42,25 @@ RUN_TIMEOUT_S = 900
 PAIRS = 10
 
 
-def summarize(base: list, change: list, better: str) -> dict:
-    """Medians, quartiles, pairs won and the gain rule for one metric over paired runs."""
+def summarize(base: list, change: list, better: str, bound: float | None = None) -> dict:
+    """Medians, quartiles, pairs won, the gain rule and, given a bound, the regression verdict for one metric."""
     if len(base) != len(change) or not base:
         raise ValueError("need the same positive number of base and change values")
     sign = 1.0 if better == "higher" else -1.0
-    diffs = sign * (np.asarray(change, dtype=float) - np.asarray(base, dtype=float))
+    signed_base, signed_change = (sign * np.asarray(x, dtype=float) for x in (base, change))
+    diffs = signed_change - signed_base
     b_q1, b_med, b_q3 = (float(x) for x in np.percentile(base, [25, 50, 75]))
     c_q1, c_med, c_q3 = (float(x) for x in np.percentile(change, [25, 50, 75]))
     won = int(np.sum(diffs > 0))
+    regression = None
+    if bound is not None:
+        margin = bound * abs(b_med)
+        if sign * (c_med - b_med) < -margin:
+            regression = "worse"
+        elif b_q3 - b_q1 > margin and not signed_change.min() > signed_base.max():
+            regression = "unresolved"
+        else:
+            regression = "none"
     return {
         "better": better,
         "base": {"median": b_med, "q1": b_q1, "q3": b_q3},
@@ -58,6 +72,7 @@ def summarize(base: list, change: list, better: str) -> dict:
         "gain_shown": bool(
             len(base) >= PAIRS and won >= 0.9 * len(base) and sign * (c_med - b_med) > b_q3 - b_q1
         ),
+        "regression": regression,
     }
 
 
@@ -126,7 +141,8 @@ def main(argv=None) -> int:
                 entry["metrics"] = {}
                 for m in spec["end_to_end"]:
                     base, change = ([r[m["name"]] for r in runs[side]] for side in ("base", "change"))
-                    entry["metrics"][m["name"]] = dict(summarize(base, change, m["better"]), unit=m["unit"], bound=m["bound"])
+                    entry["metrics"][m["name"]] = dict(summarize(base, change, m["better"], m["bound"]),
+                                                       unit=m["unit"], bound=m["bound"])
                 out_path.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
