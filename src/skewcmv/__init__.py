@@ -29,7 +29,6 @@ from .cmv import (
     CoefficientError,
     assemble_window,
     char_poly,
-    export_window,
     theta_block,
 )
 from .cocycle import (

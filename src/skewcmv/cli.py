@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .cmv import BoundaryPair, _in_disk, _write_atomic, assemble_window
+from .cmv import BoundaryPair, _in_disk, assemble_window
 from .cocycle import scaling_factor, transfer_product, transfer_via_determinants
 from .green import davis_simon_gap, green_entry_via_polys, green_matrix, restriction_residual
 from .localization import localization_scan, window_spectrum
@@ -505,8 +505,8 @@ def _task_detform_check(cfg: ExperimentConfig, rng, instances, n_min, n_max, tol
 _Z = Param("z", _spectral, [1.0, 0.0])
 # the largest window a task builds: its dense matrix takes 1 GiB at 8192 sites
 _MAX_SITES = 8192
-# the most phases a sampling plan or uniform-bound's grid gives: the orbit and product
-# of one 256-step chunk take about 16 KiB per phase, 1 GiB at 256**2 phases
+# the most phases a sampling plan or uniform-bound's grid gives: the estimators tile the
+# phases, so this caps time, not memory (about 6 s per z at n = 1000 and 256**2 phases)
 _MAX_GRID_SIDE = 256
 _MAX_SAMPLES = _MAX_GRID_SIDE**2
 # the longest Diophantine scan: its arrays take about 80 bytes per n, 0.75 GiB at 10**7
@@ -673,6 +673,14 @@ def _rows_to_csv(rows: list) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through a temporary file and a rename, so readers never see a partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _emit(doc: dict, cfg: ExperimentConfig, rows: list, summary: str) -> None:

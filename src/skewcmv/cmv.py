@@ -15,14 +15,12 @@ map it forms all Theta blocks at once and cuts them into `lm`, the diagonals
 and off-diagonals of the symmetric tridiagonals L and M.  E's five diagonals
 (Cantero, Moral & Velazquez 2003) are read off `lm`, each entry the single
 product L[i, k] M[k, j] that parity selects, in LAPACK's general band layout.
-The dense E that dense eigensolvers, export and the dense oracles need is
+The dense E that dense eigensolvers and the dense oracles need is
 scattered from the band on first use, and the dense L and M from `lm`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,9 +37,6 @@ __all__ = [
     "assemble_window",
     "char_poly",
     "scheme_submatrix",
-    "window_to_matrixmarket",
-    "window_metadata",
-    "export_window",
 ]
 
 _UNIMODULAR_TOL = 1e-12
@@ -285,48 +280,3 @@ def char_poly(window: CMVWindow, z: complex) -> CharPoly:
     Phi = complex(np.linalg.det(z * np.eye(window.size) - E))
     rho_prod = float(np.prod([window.raw_rho(n) for n in range(window.a, window.b + 1)]))
     return CharPoly(Phi=Phi, phi=Phi / rho_prod)
-
-
-# --- export -----------------------------------------------------------------
-
-def window_to_matrixmarket(window: CMVWindow) -> str:
-    """Dense text dump in MatrixMarket array format (column-major, complex general)."""
-    E = window.matrix
-    n = E.shape[0]
-    lines = [
-        "%%MatrixMarket matrix array complex general",
-        f"% cmv window [{window.a}, {window.b}]",
-        f"{n} {n}",
-    ]
-    for j in range(n):
-        for i in range(n):
-            lines.append(f"{float(E[i, j].real)!r} {float(E[i, j].imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def window_metadata(window: CMVWindow) -> dict:
-    return {
-        "a": window.a,
-        "b": window.b,
-        "beta": [window.beta.real, window.beta.imag],
-        "gamma": [window.gamma.real, window.gamma.imag],
-        "scheme_hash": window.scheme_ref,
-        "unimodular": window.unimodular,
-    }
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` through a temporary file and a rename, so readers never see a partial file."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def export_window(window: CMVWindow, path_base: str) -> tuple[str, str]:
-    """Write `<path_base>.mtx` and `<path_base>.json` atomically; returns the paths."""
-    mtx_path = path_base + ".mtx"
-    json_path = path_base + ".json"
-    _write_atomic(mtx_path, window_to_matrixmarket(window))
-    _write_atomic(json_path, json.dumps(window_metadata(window), sort_keys=True, indent=2) + "\n")
-    return mtx_path, json_path

@@ -169,7 +169,7 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     dl += n * np.log(sz * isz)[:, None] + np.log((1.0 - a2) / rho**2).sum(axis=0)
     g = np.log((1.0 + amax) / np.sqrt(1.0 - amax**2)) + np.abs(np.log(np.abs(sz)))
     k = np.clip(np.floor(RENORM_LOG / np.maximum(g, 1e-300)), 1, max(n, 1)).astype(int)
-    for kk in np.unique(k):
+    for kk in sorted(set(k.tolist())):  # not np.unique, which imports numpy.ma
         rows = np.flatnonzero(k == kk)
         for r in np.array_split(rows, -(-len(rows) // max(1, LANE_BLOCK // S))):
             X = np.moveaxis(B[r], (2, 3), (0, 1)).copy()  # X[i, j] = entry (i, j), (Zb, S)

@@ -89,19 +89,25 @@ class DeviationProfile:
     mean: float
 
 
-# orbit steps generated per product call: memory is O(Z S ORBIT_CHUNK), not O(n S)
-ORBIT_CHUNK = 256
+# phases per tile and orbit steps per product call: beyond the (Z, S) output the
+# working set is O(Z PHASE_TILE + ORBIT_CHUNK PHASE_TILE), whatever n and S are
+PHASE_TILE = 1024
+ORBIT_CHUNK = 64
 
 
 def _u_values(s: VerblunskyScheme, z, n: int, phases: np.ndarray) -> np.ndarray:
     """(1/n) log ||M_n|| per (z, phase), shaped as product_batch's log-scales."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    carry = None
-    for j0 in range(0, n, ORBIT_CHUNK):
-        alphas = verblunsky_orbit_batch(s, min(ORBIT_CHUNK, n - j0), phases, start=j0)
-        carry = product_batch(alphas, z, carry=carry)
-    return carry[0] / n
+    u = np.empty(np.shape(z) + (len(phases),))
+    for p0 in range(0, len(phases), PHASE_TILE):
+        tile, carry = phases[p0 : p0 + PHASE_TILE], None
+        for j0 in range(0, n, ORBIT_CHUNK):
+            alphas = verblunsky_orbit_batch(s, min(ORBIT_CHUNK, n - j0), tile, start=j0)
+            carry = product_batch(alphas, z, carry=carry)
+        u[..., p0 : p0 + PHASE_TILE] = carry[0]
+    u /= n
+    return u
 
 
 def _estimates(s: VerblunskyScheme, zs, n: int, cfg: SamplingConfig) -> list:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +9,8 @@ from skewcmv.cmv import (
     assemble_window,
     char_poly,
     _band_dot,
-    export_window,
     scheme_submatrix,
     theta_block,
-    window_metadata,
-    window_to_matrixmarket,
 )
 from skewcmv.model import verblunsky_range
 from schemes import make_scheme, random_scheme
@@ -244,21 +239,3 @@ class TestCharPoly:
         big = 1e6
         cp = char_poly(w, big)
         assert abs(cp.Phi) == pytest.approx(big**5, rel=1e-4)
-
-
-class TestExport:
-    def test_matrixmarket_round_trip(self, tmp_path):
-        s = make_scheme({(1, 0): 0.5}, 0.7, 0.29, base=(0.4, 0.6))
-        w = assemble_window(s, (2, 9), BoundaryPair(np.exp(0.2j), np.exp(0.8j)))
-        text = window_to_matrixmarket(w)
-        lines = [ln for ln in text.splitlines() if not ln.startswith("%")]
-        rows, cols = map(int, lines[0].split())
-        vals = np.array(
-            [complex(*map(float, ln.split())) for ln in lines[1:]]
-        ).reshape(cols, rows).T  # column-major
-        assert np.array_equal(vals, w.matrix)
-        meta = window_metadata(w)
-        assert meta["a"] == 2 and meta["b"] == 9 and meta["scheme_hash"]
-        p1, p2 = export_window(w, str(tmp_path / "win"))
-        assert json.load(open(p2))["a"] == 2
-        assert open(p1).read() == text

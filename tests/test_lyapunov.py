@@ -2,11 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skewcmv.cocycle import CocycleError, scaling_factor
+from skewcmv.cocycle import CocycleError, product_batch, scaling_factor
 from skewcmv.lyapunov import (
     ORBIT_CHUNK,
+    PHASE_TILE,
     SamplingConfig,
+    _u_values,
     avalanche_residual,
     deviation_profile,
     estimate_Ln,
@@ -16,7 +20,9 @@ from skewcmv.lyapunov import (
     positivity_margin,
     uniform_bound_check,
 )
-from schemes import make_scheme
+from skewcmv.model import verblunsky_orbit_batch
+from schemes import make_scheme, random_scheme
+from test_cocycle import fold_reference, z_values
 
 HALF_LOG3 = 0.5 * np.log(3.0)
 
@@ -117,9 +123,9 @@ class TestEstimator:
 
 class TestStreaming:
     @staticmethod
-    def peak_bytes(n: int, z=np.exp(0.7j)) -> int:
+    def peak_bytes(n: int, z=np.exp(0.7j), samples: int = 256) -> int:
         s = make_scheme(TRIG, 0.9, 0.618)
-        cfg = SamplingConfig(mode="monte-carlo", sample_count=256, rng_seed=4)
+        cfg = SamplingConfig(mode="monte-carlo", sample_count=samples, rng_seed=4)
         tracemalloc.start()
         try:
             estimate_Ln(s, z, n, cfg)
@@ -136,10 +142,39 @@ class TestStreaming:
         short, long = self.peak_bytes(4 * ORBIT_CHUNK, zs), self.peak_bytes(32 * ORBIT_CHUNK, zs)
         assert long <= 1.25 * short, (short, long)
 
+    def test_memory_independent_of_sample_count(self):
+        short = self.peak_bytes(2 * ORBIT_CHUNK, samples=PHASE_TILE)
+        long = self.peak_bytes(2 * ORBIT_CHUNK, samples=8 * PHASE_TILE)
+        assert long <= 1.25 * short, (short, long)
+
     def test_long_orbit_runs(self):
         s = make_scheme(TRIG, 0.9, 0.618)
         est = estimate_Ln(s, 1.0, 100_000, SamplingConfig(mode="monte-carlo", sample_count=16))
         assert np.isfinite(est.mean) and est.mean > 0
+
+
+class TestTiles:
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        chunks=st.integers(0, 2),
+        zs=st.lists(z_values, min_size=2, max_size=3),
+        data=st.data(),
+    )
+    def test_tail_tile_and_one_step_chunk(self, seed, chunks, zs, data):
+        # a one-phase tail tile meets a one-step last chunk: the n * S == 1 orbit path
+        rng = np.random.default_rng(seed)
+        s = random_scheme(rng, max_coupling=0.95)
+        n, phases = chunks * ORBIT_CHUNK + 1, rng.random((PHASE_TILE + 1, 2))
+        u = _u_values(s, np.array(zs), n, phases)
+        alphas = verblunsky_orbit_batch(s, n, phases)
+        # fold_reference takes ~60 us a step, so it checks the tile edges and a few drawn phases
+        checked = [0, PHASE_TILE - 1, PHASE_TILE] + data.draw(st.lists(st.integers(0, PHASE_TILE), max_size=3))
+        for i, z in enumerate(zs):
+            assert np.array_equal(u[i], _u_values(s, z, n, phases))
+            assert np.all(np.abs(n * u[i] - product_batch(alphas, z)[0]) <= 1e-12 * n)
+            for p in checked:
+                assert abs(n * u[i, p] - fold_reference(alphas[:, p], z).log_scale) <= 1e-12 * n
 
 
 class TestDeviationProfile:
