@@ -28,8 +28,10 @@ scheme = VerblunskyScheme(
 
 # long products stay in range because the norm is refactored every step
 fp = transfer_product(scheme, 10_000, 1.0)
-print(f"n = 10000 product: log||M_n|| = {fp.log_scale:.2f}, "
-      f"|det - 1| = {abs(fp.det() - 1):.2e}, growth rate {fp.log_scale / 10_000:.4f}")
+print(f"n = 10000 product: log||M_n|| = {fp.log_scale:.2f}, growth rate {fp.log_scale / 10_000:.4f}")
+# every factor has determinant one; det(value()) resolves that on a short product only
+short = transfer_product(scheme, 8, 1.0)
+print(f"n = 8 product: |det - 1| = {abs(np.linalg.det(short.value()) - 1):.2e}")
 
 # the independent determinant route agrees with the ordered product
 z = np.exp(1.1j)

@@ -8,7 +8,7 @@ atomically.  The exit status is 1 when a checked invariant fails somewhere in
 the batch: an oracle row of `green-check`, `davis-simon`, `restriction-check`
 or `detform-check`, an eigen residual or |w| - 1 of `spectrum` and `localize`,
 or the residual of `avalanche` in diagonal mode.  The other tasks check no
-invariant and always count 0 failures; ROADMAP item 3 (a run ledger) is to
+invariant and always count 0 failures; ROADMAP item 2 (a run ledger) is to
 change that.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .cmv import BoundaryPair, _in_disk, assemble_window
-from .cocycle import scaling_factor, transfer_product, transfer_via_determinants
+from .cocycle import product_batch, scaling_factor, transfer_product, transfer_via_determinants
 from .green import davis_simon_gap, green_entry_via_polys, green_matrix, restriction_residual
 from .localization import localization_scan, window_spectrum
 from .lyapunov import (
@@ -49,6 +49,7 @@ from .model import (
     diophantine_margin,
     scheme_from_json,
     scheme_to_json,
+    verblunsky_range,
 )
 
 
@@ -108,7 +109,7 @@ class Task:
 
 def _complex(value) -> complex:
     """A complex parameter given as [re, im], a number, or a string such as "1+2j"."""
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and not any(isinstance(v, bool) for v in value):
         return complex(float(value[0]), float(value[1]))
     if isinstance(value, (int, float, str)):
         return complex(value)
@@ -154,6 +155,10 @@ def _value(where: str, p: Param, value, earlier: dict):
         if p.ascending and any(b < a for a, b in zip(out, out[1:])):
             raise ConfigError(f"{where} must be sorted ascending, got {out}")
         return out
+    if isinstance(value, bool):  # int() and float() would read true as 1
+        raise ConfigError(f"{where} must not be a boolean, got {json.dumps(value)}")
+    if p.kind is int and isinstance(value, float) and not value.is_integer():  # int() would truncate
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     try:
         value = p.kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -310,15 +315,12 @@ def _task_avalanche(cfg: ExperimentConfig, rng, mode, count, mu, block, z):
     elif mode == "cocycle":
         if cfg.scheme is None:
             raise ConfigError("scheme: avalanche cocycle mode requires a scheme")
-        from .model import orbit_point
-
-        mats = []
-        for j in range(count):
-            start = orbit_point(cfg.scheme.base, cfg.scheme.frequency, j * block)
-            fp = transfer_product(cfg.scheme, block, z, base=np.array([start.x, start.y]))
-            if fp.log_scale > 600.0:
-                raise ConfigError("params.block: block products overflow; reduce block length")
-            mats.append(fp.value())
+        # lane j holds alpha_{j block} .. alpha_{(j + 1) block - 1}, so one call forms every block product
+        alphas = verblunsky_range(cfg.scheme, 0, count * block - 1).reshape(count, block).T
+        ls, B = product_batch(alphas, z)
+        if ls.max() > 600.0:
+            raise ConfigError("params.block: block products overflow; reduce block length")
+        mats = np.exp(ls)[:, None, None] * B
     rep = avalanche_residual(mats)
     row = {
         "mode": mode,

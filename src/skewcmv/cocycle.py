@@ -105,33 +105,24 @@ def spectral_norms_2x2(B: np.ndarray) -> np.ndarray:
 class FactoredProduct:
     """A 2x2 product stored as exp(log_scale) * matrix with ||matrix||_2 = 1.
 
-    det_log is the complex log of the determinant of the represented product,
-    accumulated factor by factor.  For products of determinant-one matrices it
-    stays near 0 up to roundoff; evaluating det(matrix) directly instead would
-    cancel catastrophically once the product is strongly hyperbolic.
+    The determinant is not carried: every factor has determinant one, and a
+    determinant formed apart from the matrix would never read it.  det(value())
+    checks a short product; once the product is hyperbolic det(matrix) =
+    exp(-2 log_scale) cancels catastrophically.
     """
 
     matrix: np.ndarray
     log_scale: float
-    det_log: complex = 0.0
-
-    def det(self) -> complex:
-        """Determinant of the represented product (from the accumulated log)."""
-        return complex(np.exp(self.det_log))
 
     def value(self) -> np.ndarray:
         """The represented matrix; may overflow for log_scale beyond ~709."""
         return np.exp(self.log_scale) * self.matrix
 
     def compose(self, first: "FactoredProduct") -> "FactoredProduct":
-        """The product (self o first), i.e. self applied after first."""
+        """The product (self o first), i.e. self applied after first; its matrix has unit norm."""
         prod = self.matrix @ first.matrix
         s = float(spectral_norms_2x2(prod))
-        return FactoredProduct(
-            prod / s,
-            self.log_scale + first.log_scale + np.log(s),
-            self.det_log + first.det_log,
-        )
+        return FactoredProduct(prod / s, self.log_scale + first.log_scale + np.log(s))
 
     def distance(self, other: "FactoredProduct") -> float:
         """Relative distance: ||exp(dls) A - B||_2 with dls = self.ls - other.ls."""
@@ -143,30 +134,29 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     """Renormalized transfer products over a (Z, S) grid of spectral parameters x orbits.
 
     `alphas` has shape (n, S): column s holds alpha_0..alpha_{n-1} of one orbit.
-    A scalar z gives (log_scales, B, det_logs) of shapes (S,), (S, 2, 2), (S,); an
-    array of Z values gives (Z, S), (Z, S, 2, 2), (Z, S).  A lane's product is
-    exp(log_scale) * B, the j = n-1 factor leftmost; det_log is the complex log of
-    its determinant.  `carry`, an earlier result, is continued by these n factors.
+    A scalar z gives (log_scales, B) of shapes (S,), (S, 2, 2); an array of Z
+    values gives (Z, S), (Z, S, 2, 2).  A lane's product is exp(log_scale) * B,
+    the j = n-1 factor leftmost.  `carry`, an earlier result, is continued by
+    these n factors.
 
     A factor is (1/rho) A D, A = [[1, -conj(alpha)], [-alpha, 1]], D = diag(sqrt z,
-    1/sqrt z).  Lanes multiply A D; log(1/rho) and log det = log(sqrt z / sqrt z) +
-    log((1 - |alpha|^2) / rho^2) are summed apart.  The norm is refactored every
-    k = floor(RENORM_LOG / g) steps and at the last, g >= log||M|| bounded from
-    max|alpha| and |z|, so a z's row is bit-identical alone or in a batch.
+    1/sqrt z).  Lanes multiply A D; log(1/rho) is summed apart.  The norm is
+    refactored every k = floor(RENORM_LOG / g) steps and at the last, g >= log||M||
+    bounded from max|alpha| and |z|, so a z's row is bit-identical alone or in a batch.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
     n, S = alphas.shape
     sz = circle_sqrt(np.reshape(z, -1))
     isz = 1.0 / sz
-    ls, B, dl = (np.array(np.broadcast_to(c, (len(sz), S) + tail), dtype=t) for c, t, tail in
-                 zip(carry or (0.0, np.eye(2), 0.0), (float, complex, complex), ((), (2, 2), ())))
+    ls, B = carry or (0.0, np.eye(2))
+    ls = np.array(np.broadcast_to(ls, (len(sz), S)), dtype=float)
+    B = np.array(np.broadcast_to(B, (len(sz), S, 2, 2)), dtype=complex)
     a2 = alphas.real**2 + alphas.imag**2
     amax = float(np.sqrt(a2.max(initial=0.0)))
     if amax >= 1.0:
         raise CocycleError(f"|alpha| = {amax:.6f} >= 1")
     rho = np.sqrt(1.0 - a2)
     ls -= np.log(rho).sum(axis=0)
-    dl += n * np.log(sz * isz)[:, None] + np.log((1.0 - a2) / rho**2).sum(axis=0)
     g = np.log((1.0 + amax) / np.sqrt(1.0 - amax**2)) + np.abs(np.log(np.abs(sz)))
     k = np.clip(np.floor(RENORM_LOG / np.maximum(g, 1e-300)), 1, max(n, 1)).astype(int)
     for kk in sorted(set(k.tolist())):  # not np.unique, which imports numpy.ma
@@ -186,7 +176,7 @@ def product_batch(alphas: np.ndarray, z, carry=None):
                     X *= 1.0 / s
                     ls[r] += np.log(s)
             B[r] = np.moveaxis(X, (0, 1), (2, 3))
-    return (ls, B, dl) if np.ndim(z) else (ls[0], B[0], dl[0])
+    return (ls, B) if np.ndim(z) else (ls[0], B[0])
 
 
 def transfer_product(s: VerblunskyScheme, n: int, z: complex, base: np.ndarray | None = None) -> FactoredProduct:
@@ -199,8 +189,8 @@ def transfer_product(s: VerblunskyScheme, n: int, z: complex, base: np.ndarray |
     if base is None:
         base = np.array([s.base.x, s.base.y])
     alphas = verblunsky_orbit_batch(s, n, np.asarray(base, dtype=float).reshape(1, 2))
-    ls, B, dl = product_batch(alphas, z)
-    return FactoredProduct(B[0], float(ls[0]), complex(dl[0]))
+    ls, B = product_batch(alphas, z)
+    return FactoredProduct(B[0], float(ls[0]))
 
 
 def sl2r_conjugate(m: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import product_batch, spectral_norms_2x2
+from .cocycle import FactoredProduct, product_batch, spectral_norms_2x2
 from .model import VerblunskyScheme, verblunsky_orbit_batch
 
 __all__ = [
@@ -189,17 +189,13 @@ def avalanche_residual(matrices) -> AvalancheReport:
     pair_norms = np.array(
         [float(spectral_norms_2x2(mats[j + 1] @ mats[j])) for j in range(n - 1)]
     )
-    # factored accumulation of the full product, left-multiplying in order
-    B = mats[0] / norms[0]
-    total = np.log(norms[0])
-    for j in range(1, n):
-        B = mats[j] @ B
-        s = float(spectral_norms_2x2(B))
-        B /= s
-        total += np.log(s)
+    # the full product, folded in order; each raw factor enters at log scale 0 and compose renormalizes
+    total = FactoredProduct(mats[0] / norms[0], float(np.log(norms[0])))
+    for m in mats[1:]:
+        total = FactoredProduct(m, 0.0).compose(total)
     interior = float(np.sum(np.log(norms[1:-1])))
     pairs = float(np.sum(np.log(pair_norms)))
-    residual = abs(total + interior - pairs)
+    residual = abs(total.log_scale + interior - pairs)
     mu = float(np.min(norms))
     gap = float(np.max(np.log(norms[1:]) + np.log(norms[:-1]) - np.log(pair_norms)))
     ok = bool(mu >= n and gap <= 0.5 * np.log(mu))

@@ -43,11 +43,20 @@ class SchemeError(ValueError):
 
 
 def _finite(name: str, value) -> float:
-    """`value` as a float; SchemeError naming `name` when it is NaN or infinite."""
+    """`value` as a float; SchemeError naming `name` when it is a boolean, NaN or infinite."""
+    if isinstance(value, bool):
+        raise SchemeError(f"{name} must be a number, got {value}")
     value = float(value)
     if not math.isfinite(value):
         raise SchemeError(f"{name} must be finite, got {value}")
     return value
+
+
+def _index(k) -> int:
+    """A frequency index as an int; SchemeError for a boolean or a non-integral value, which int() would truncate."""
+    if isinstance(k, bool) or k % 1 != 0:
+        raise SchemeError(f"frequency index must be an integer, got {k!r}")
+    return int(k)
 
 
 def _mod1(t):
@@ -197,19 +206,14 @@ class TrigPolynomial:
 
     def __init__(self, coefficients):
         if isinstance(coefficients, TrigPolynomial):
-            terms = coefficients.terms
+            coefficients = coefficients.terms
         elif isinstance(coefficients, dict):
-            terms = tuple(
-                (int(k), int(l), complex(c))
-                for (k, l), c in sorted(coefficients.items())
-                if c != 0
-            )
-        else:
-            rows = sorted(((int(k), int(l), complex(c)) for k, l, c in coefficients), key=lambda r: r[:2])
-            for (k, l, _), nxt in zip(rows, rows[1:]):
-                if (k, l) == nxt[:2]:
-                    raise SchemeError(f"coefficient ({k}, {l}) is given twice")
-            terms = tuple(r for r in rows if r[2] != 0)
+            coefficients = [(k, l, c) for (k, l), c in coefficients.items()]
+        rows = sorted(((_index(k), _index(l), complex(c)) for k, l, c in coefficients), key=lambda r: r[:2])
+        for (k, l, _), nxt in zip(rows, rows[1:]):
+            if (k, l) == nxt[:2]:
+                raise SchemeError(f"coefficient ({k}, {l}) is given twice")
+        terms = tuple(r for r in rows if r[2] != 0)
         for k, l, c in terms:
             if not cmath.isfinite(c):
                 raise SchemeError(f"coefficient ({k}, {l}) must be finite, got {c}")
@@ -388,6 +392,8 @@ def scheme_to_json(s: VerblunskyScheme) -> str:
 
 def scheme_from_json(text: str) -> VerblunskyScheme:
     doc = json.loads(text)
+    if any(isinstance(v, bool) for row in doc["coefficients"] for v in row):  # complex() would read true as 1
+        raise SchemeError(f"coefficients must be numbers, got {doc['coefficients']}")
     sampler = TrigPolynomial([(k, l, complex(re, im)) for k, l, re, im in doc["coefficients"]])
     return VerblunskyScheme(
         sampler=sampler,

@@ -6,14 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skewcmv.cli
 import skewcmv.localization
 import skewcmv.lyapunov
 from skewcmv.cli import ConfigError, config_from_doc, main, run, run_sweep
+from skewcmv.cocycle import transfer_product
 from skewcmv.lyapunov import ORBIT_CHUNK, estimate_Ln
-from skewcmv.model import verblunsky_orbit_batch
+from skewcmv.model import orbit_point, verblunsky_orbit_batch
 
 SCHEME_DOC = {
     "coefficients": [[1, 0, 0.5, 0.0], [0, 1, 0.5, 0.0]],
@@ -80,6 +82,8 @@ class TestConfig:
             ("coefficients", [[1, 0, math.inf, 0.0]], "coefficient (1, 0)"),
             ("coefficients", [[1, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]], "coupling bound violated"),
             ("coefficients", [[1, 0, 0.5, 0.0], [1, 0, 0.25, 0.0]], "coefficient (1, 0) is given twice"),
+            ("coefficients", [[1.5, 0, 0.5, 0.0]], "frequency index must be an integer"),
+            ("omega", True, "omega must be a number"),
         ],
     )
     def test_bad_scheme_exits_with_status_2(self, tmp_path, capsys, key, value, field):
@@ -99,7 +103,8 @@ class TestConfig:
          ("localize", "scale", math.nan), ("lyapunov", "z", [0, 0]), ("ldt", "z", [0, 0]),
          ("spectrum", "gamma", 2.5), ("localize", "beta", [0.0, 1.5]), ("spectrum", "beta", 1.0000000000000004),
          ("avalanche", "mu", 0), ("davis-simon", "max_size", 1e300),
-         ("davis-simon", "max_size", 2**63 - 1), ("spectrum", "size", 200000)],
+         ("davis-simon", "max_size", 2**63 - 1), ("spectrum", "size", 200000),
+         ("lyapunov", "n", 2.7), ("lyapunov", "n", True), ("lyapunov", "z_circle", 2.5), ("lyapunov", "z", [True, 0])],
     )
     def test_bad_param_exits_with_status_2(self, tmp_path, capsys, task, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -209,6 +214,7 @@ class TestConfig:
             (base_doc("lyapunov", {"z": [1, 0], "z_circle": 3}), ["params.z", "params.z_circle"]),
             (base_doc("ldt", {"thresholds": [0.1], "threshold_factors": [0.2]}),
              ["params.thresholds", "params.threshold_factors"]),
+            (base_doc("lyapunov", sampling={"grid_side": 2.9}), ["sampling.grid_side must be an integer"]),
         ],
     )
     def test_malformed_document_exits_with_status_2(self, tmp_path, capsys, doc, fields):
@@ -263,6 +269,21 @@ class TestTasks:
         doc = base_doc("avalanche", {"mode": "cocycle", "count": 6, "block": 30})
         rows, failures, _ = run_doc(doc)
         assert failures == 0 and rows[0]["mu_floor"] > 1.0
+
+    def test_avalanche_cocycle_blocks_are_transfer_products(self, monkeypatch):
+        seen = []
+        residual = skewcmv.cli.avalanche_residual
+        monkeypatch.setattr(skewcmv.cli, "avalanche_residual", lambda mats: seen.append(mats) or residual(mats))
+        z = complex(0.6, 0.9)
+        cfg = config_from_doc(base_doc("avalanche", {"mode": "cocycle", "count": 6, "block": 30, "z": [z.real, z.imag]}))
+        run(cfg)
+        (mats,) = seen
+        s = cfg.scheme
+        assert len(mats) == 6
+        for j, m in enumerate(mats):
+            start = orbit_point(s.base, s.frequency, j * 30)
+            ref = transfer_product(s, 30, z, base=np.array([start.x, start.y])).value()
+            assert np.max(np.abs(m - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_multiscale_task(self):
         doc = base_doc("multiscale", {"n": 6, "N": 36}, sampling={"mode": "grid", "grid_side": 6})

@@ -85,11 +85,14 @@ class TestTransferProduct:
         assert np.max(np.abs(fp.value() - direct)) < 1e-12
 
     def test_determinant_preserved_long_products(self):
+        # det(value()) is formed from entries of size e^{log_scale}, so it resolves the
+        # determinant only on short products: by n = 20 its rounding can exceed 1
         rng = np.random.default_rng(17)
-        s = random_scheme(rng)
-        for n in (10, 100, 1000, 10000):
-            fp = transfer_product(s, n, np.exp(0.31j))
-            assert abs(fp.det() - 1.0) < 1e-6
+        for _ in range(20):
+            s = random_scheme(rng)
+            z = np.exp(2j * np.pi * rng.random())
+            for n in (1, 2, 4, 8):
+                assert abs(np.linalg.det(transfer_product(s, n, z).value()) - 1.0) < 1e-6
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(23)
@@ -127,7 +130,7 @@ def fold_reference(alphas, z) -> FactoredProduct:
     for a in alphas:
         m = szego_matrix(a, z)
         nrm = float(spectral_norms_2x2(m))
-        step = FactoredProduct(m / nrm, float(np.log(nrm)), complex(np.log(np.linalg.det(m))))
+        step = FactoredProduct(m / nrm, float(np.log(nrm)))
         acc = step if acc is None else step.compose(acc)
     return acc
 
@@ -160,13 +163,12 @@ class TestStreamedKernel:
         rng = np.random.default_rng(seed)
         alphas = 0.97 * np.sqrt(rng.random((n, S))) * np.exp(2j * np.pi * rng.random((n, S)))
         zs = zs + [zs[0]] * (-(-(LANE_BLOCK + 1) // S) - len(zs))  # Z * S > one lane block
-        ls, B, dl = product_batch(alphas, np.array(zs))
-        assert ls.shape == dl.shape == (len(zs), S) and B.shape == (len(zs), S, 2, 2)
+        ls, B = product_batch(alphas, np.array(zs))
+        assert ls.shape == (len(zs), S) and B.shape == (len(zs), S, 2, 2)
         for i, z in enumerate(zs):
             one = product_batch(alphas, z)
             assert np.array_equal(one[0], ls[i])
             assert np.array_equal(one[1], B[i])
-            assert np.array_equal(one[2], dl[i])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), z=z_values, data=st.data())
@@ -174,12 +176,11 @@ class TestStreamedKernel:
         s = random_scheme(np.random.default_rng(seed), max_coupling=0.95)
         alphas = verblunsky_orbit_batch(s, n, np.array([[s.base.x, s.base.y]]))
         cuts = data.draw(st.lists(st.integers(0, n), max_size=4))
-        ls, B, dl = streamed(alphas, z, cuts)
+        ls, B = streamed(alphas, z, cuts)
         ref = fold_reference(alphas[:, 0], z)
-        got = FactoredProduct(B[0], float(ls[0]), complex(dl[0]))
+        got = FactoredProduct(B[0], float(ls[0]))
         assert abs(got.log_scale - ref.log_scale) <= 1e-12 * n
         assert got.distance(ref) < 1e-9
-        assert abs(got.det_log - ref.det_log) < 1e-9
 
     @settings(max_examples=6, deadline=None)
     @given(r=st.sampled_from([1 / 1.5, 1.5]), theta=st.floats(0.0, 2 * np.pi))
@@ -188,10 +189,10 @@ class TestStreamedKernel:
         s = make_scheme({(1, 0): 1.0}, 0.999, 0.618033988749895, base=(0.3, 0.7))
         z, n = r * np.exp(1j * theta), 2000
         alphas = verblunsky_orbit_batch(s, n, np.array([[0.3, 0.7]]))
-        ls, B, dl = streamed(alphas, z, range(256, n, 256))
-        assert np.all(np.isfinite(ls)) and np.all(np.isfinite(B)) and np.all(np.isfinite(dl))
+        ls, B = streamed(alphas, z, range(256, n, 256))
+        assert np.all(np.isfinite(ls)) and np.all(np.isfinite(B))
         ref = fold_reference(alphas[:, 0], z)
-        got = FactoredProduct(B[0], float(ls[0]), complex(dl[0]))
+        got = FactoredProduct(B[0], float(ls[0]))
         assert abs(got.log_scale - ref.log_scale) <= 1e-12 * n
         assert got.distance(ref) < 1e-9
 
