@@ -2,8 +2,9 @@
 
 One binary, one task per invocation, JSON config file overridable by flags.
 Runs are deterministic given the config: sampling seeds are explicit, sweep
-cells derive their seeds by hashing (base seed, cell index), and the hash of
-the effective config is embedded in every output row.  Outputs are written
+cells derive their seeds by hashing (base seed, cell index), and every output
+row embeds the hash of the config as written (`params` as given, so a default
+written out changes the hash but not the rows).  Outputs are written
 atomically.  The exit status is 1 when a checked invariant fails somewhere in
 the batch: an oracle row of `green-check`, `davis-simon`, `restriction-check`
 or `detform-check`, an eigen residual or |w| - 1 of `spectrum` and `localize`,
@@ -85,8 +86,8 @@ class ConfigError(ValueError):
 class Param:
     """One config field: its converter, its default and its checks.
 
-    With default None the field is None unless given.  `lo` is a lower bound,
-    or a function of the fields parsed before this one; `hi` is an upper bound.
+    With default None the field is None unless given.  `lo` and `hi` are bounds,
+    each a value or a function of the fields parsed before this one.
     """
 
     name: str
@@ -172,8 +173,9 @@ def _value(where: str, p: Param, value, earlier: dict):
     lo = p.lo(earlier) if callable(p.lo) else p.lo
     if lo is not None and value < lo:
         raise ConfigError(f"{where} must be >= {lo}, got {value}")
-    if p.hi is not None and value > p.hi:
-        raise ConfigError(f"{where} must be <= {p.hi}, got {value}")
+    hi = p.hi(earlier) if callable(p.hi) else p.hi
+    if hi is not None and value > hi:
+        raise ConfigError(f"{where} must be <= {hi}, got {value}")
     return value
 
 
@@ -303,35 +305,25 @@ def _task_ldt(cfg: ExperimentConfig, rng, z, n_list, thresholds, threshold_facto
 
 
 def _task_avalanche(cfg: ExperimentConfig, rng, mode, count, mu, block, z):
+    ls = None  # raw blocks, which avalanche_residual factors itself
     if mode == "diagonal":
         mats = [np.diag([mu, 1.0 / mu]) for _ in range(count)]
-    elif mode == "hyperbolic":
-        mats = []
-        for _ in range(count):
-            m = mu * rng.uniform(1.0, 10.0)
-            phi = rng.uniform(-0.3, 0.3)
-            c, s = np.cos(phi), np.sin(phi)
-            mats.append(np.array([[c, -s], [s, c]]) @ np.diag([m, 1.0 / m]))
+    elif mode == "hyperbolic":  # rotation(phi) diag(m, 1/m)
+        m, phi = np.array([[mu * rng.uniform(1.0, 10.0), rng.uniform(-0.3, 0.3)] for _ in range(count)]).T
+        c, s = np.cos(phi), np.sin(phi)
+        mats = np.moveaxis(np.array([[c * m, -s * (1.0 / m)], [s * m, c * (1.0 / m)]]), -1, 0)
     elif mode == "cocycle":
         if cfg.scheme is None:
             raise ConfigError("scheme: avalanche cocycle mode requires a scheme")
         # lane j holds alpha_{j block} .. alpha_{(j + 1) block - 1}, so one call forms every block product
         alphas = verblunsky_range(cfg.scheme, 0, count * block - 1).reshape(count, block).T
-        ls, B = product_batch(alphas, z)
-        if ls.max() > 600.0:
-            raise ConfigError("params.block: block products overflow; reduce block length")
-        mats = np.exp(ls)[:, None, None] * B
-    rep = avalanche_residual(mats)
-    row = {
-        "mode": mode,
-        "count": count,
-        "residual": rep.residual,
-        "mu_floor": rep.mu_floor,
-        "gap": rep.gap,
-        "n_over_mu": rep.n_over_mu,
-        "hypothesis_ok": int(rep.hypothesis_ok),
-    }
-    failures = 1 if (mode == "diagonal" and rep.residual > 1e-8) else 0
+        ls, mats = product_batch(alphas, z)
+        if ls.min() > 709.0:  # exp(709.8) is the largest float
+            raise ConfigError("params.block: mu_floor = exp(min log-norm) overflows; reduce block length")
+    rep = avalanche_residual(mats, ls)
+    row = {"mode": mode, "count": count, "residual": rep.residual, "mu_floor": rep.mu_floor, "gap": rep.gap,
+           "n_over_mu": rep.n_over_mu, "hypothesis_ok": int(rep.hypothesis_ok)}
+    failures = int(mode == "diagonal" and not rep.residual <= 1e-8)  # a NaN residual fails too
     return [row], failures, f"residual={rep.residual:.3e} (n/mu={rep.n_over_mu:.2e})"
 
 
@@ -513,6 +505,10 @@ _MAX_GRID_SIDE = 256
 _MAX_SAMPLES = _MAX_GRID_SIDE**2
 # the longest Diophantine scan: its arrays take about 80 bytes per n, 0.75 GiB at 10**7
 _MAX_HORIZON = 10**7
+# avalanche's cocycle mode holds count * block <= _MAX_AVALANCHE_STEPS coefficients at once;
+# its mu lies in [1 / _MAX_MU, _MAX_MU], as spectral_norms_2x2 raises entries to the fourth
+# power, so a block's norm, up to 10 max(mu, 1 / mu) in hyperbolic mode, must stay below 1e77
+_MAX_AVALANCHE_STEPS, _MAX_MU = 2**20, 1e76
 _TOLERANCE = Param("tolerance", default=1e-8)
 _BOUNDARY = (Param("beta", _boundary, [1.0, 0.0]), Param("gamma", _boundary, [1.0, 0.0]))
 
@@ -527,7 +523,8 @@ TASKS = {
     ), exclusive=(("thresholds", "threshold_factors"),)),
     "avalanche": Task(_task_avalanche, False, (
         Param("mode", _text, "hyperbolic", choices=("diagonal", "hyperbolic", "cocycle")),
-        Param("count", int, 50, lo=3), Param("mu", _positive, 1e3), Param("block", int, 40, lo=1), _Z,
+        Param("count", int, 50, lo=3, hi=_MAX_AVALANCHE_STEPS), Param("mu", _positive, 1e3, lo=1 / _MAX_MU, hi=_MAX_MU),
+        Param("block", int, 40, lo=1, hi=lambda v: _MAX_AVALANCHE_STEPS // v["count"]), _Z,
     )),
     "multiscale": Task(_task_multiscale, True, (
         Param("n", int, 10, lo=1), Param("N", int, 100, lo=lambda v: v["n"] * v["n"]), _Z,

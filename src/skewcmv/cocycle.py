@@ -135,47 +135,48 @@ def product_batch(alphas: np.ndarray, z, carry=None):
 
     `alphas` has shape (n, S): column s holds alpha_0..alpha_{n-1} of one orbit.
     A scalar z gives (log_scales, B) of shapes (S,), (S, 2, 2); an array of Z
-    values gives (Z, S), (Z, S, 2, 2).  A lane's product is exp(log_scale) * B,
-    the j = n-1 factor leftmost.  `carry`, an earlier result, is continued by
-    these n factors.
+    values gives (Z, S), (Z, S, 2, 2), B a view of one (2, 2, Z, S) lane array.
+    A lane's product is exp(log_scale) * B, the j = n-1 factor leftmost.  `carry`,
+    an earlier result, is continued by these n factors in place: its arrays are
+    updated and returned.
 
     A factor is (1/rho) A D, A = [[1, -conj(alpha)], [-alpha, 1]], D = diag(sqrt z,
-    1/sqrt z).  Lanes multiply A D; log(1/rho) is summed apart.  The norm is
-    refactored every k = floor(RENORM_LOG / g) steps and at the last, g >= log||M||
-    bounded from max|alpha| and |z|, so a z's row is bit-identical alone or in a batch.
+    1/sqrt z).  Lanes multiply A D / 2^e, 2^e the power of two nearest ||D|| =
+    exp(|log|z||/2) (an exact scaling); log(1/rho) and e log 2 are summed apart.  A lane
+    so grows by at most sqrt(2) (1 + max|alpha|) per step, whatever z is, and its norm
+    is refactored every k = floor(RENORM_LOG / log(sqrt(2) (1 + max|alpha|))) steps and
+    at the last: one k per call, so a z's row is bit-identical alone or in a batch.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
     n, S = alphas.shape
     sz = circle_sqrt(np.reshape(z, -1))
-    isz = 1.0 / sz
-    ls, B = carry or (0.0, np.eye(2))
-    ls = np.array(np.broadcast_to(ls, (len(sz), S)), dtype=float)
-    B = np.array(np.broadcast_to(B, (len(sz), S, 2, 2)), dtype=complex)
     a2 = alphas.real**2 + alphas.imag**2
     amax = float(np.sqrt(a2.max(initial=0.0)))
     if amax >= 1.0:
         raise CocycleError(f"|alpha| = {amax:.6f} >= 1")
-    rho = np.sqrt(1.0 - a2)
-    ls -= np.log(rho).sum(axis=0)
-    g = np.log((1.0 + amax) / np.sqrt(1.0 - amax**2)) + np.abs(np.log(np.abs(sz)))
-    k = np.clip(np.floor(RENORM_LOG / np.maximum(g, 1e-300)), 1, max(n, 1)).astype(int)
-    for kk in sorted(set(k.tolist())):  # not np.unique, which imports numpy.ma
-        rows = np.flatnonzero(k == kk)
-        for r in np.array_split(rows, -(-len(rows) // max(1, LANE_BLOCK // S))):
-            X = np.moveaxis(B[r], (2, 3), (0, 1)).copy()  # X[i, j] = entry (i, j), (Zb, S)
-            top, bot = X
-            zt, zb = sz[r, None], isz[r, None]
-            for j in range(n):
-                top *= zt
-                bot *= zb
-                t = alphas[j] * top
-                top -= alphas[j].conj() * bot
-                bot -= t
-                if (j + 1) % kk == 0 or j == n - 1:
-                    s = spectral_norms_2x2(np.moveaxis(X, (0, 1), (2, 3)))
-                    X *= 1.0 / s
-                    ls[r] += np.log(s)
-            B[r] = np.moveaxis(X, (0, 1), (2, 3))
+    if carry is None:  # X[i, j] = entry (i, j), of shape (Z, S)
+        ls, X = np.zeros((len(sz), S)), np.multiply.outer(np.eye(2, dtype=complex), np.ones((len(sz), S)))
+    else:  # the carry's own arrays, continued in place
+        ls, X = np.reshape(carry[0], (len(sz), S)), np.moveaxis(carry[1], (-2, -1), (0, 1)).reshape(2, 2, len(sz), S)
+    e = np.round(0.5 * np.abs(np.log2(np.abs(np.reshape(z, -1)))))  # ||D|| ~ 2^e; e = 0 for 1/2 < |z| < 2
+    ls += n * np.log(2.0) * e[:, None] - np.log(np.sqrt(1.0 - a2)).sum(axis=0)
+    zt, zb = sz * 2.0**-e, (1.0 / sz) * 2.0**-e
+    k = max(1, min(n, int(RENORM_LOG / np.log(np.sqrt(2.0) * (1.0 + amax)))))
+    rows = max(1, LANE_BLOCK // S)
+    for r in range(0, len(sz), rows):
+        b = slice(r, r + rows)
+        top, bot = Xb = X[:, :, b]
+        for j in range(n):
+            top *= zt[b, None]
+            bot *= zb[b, None]
+            t = alphas[j] * top
+            top -= alphas[j].conj() * bot
+            bot -= t
+            if (j + 1) % k == 0 or j == n - 1:
+                s = spectral_norms_2x2(np.moveaxis(Xb, (0, 1), (2, 3)))
+                Xb *= 1.0 / s
+                ls[b] += np.log(s)
+    B = np.moveaxis(X, (0, 1), (2, 3))
     return (ls, B) if np.ndim(z) else (ls[0], B[0])
 
 

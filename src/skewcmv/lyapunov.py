@@ -47,9 +47,10 @@ class SamplingConfig:
     def __post_init__(self):
         if self.mode not in ("grid", "monte-carlo"):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        for name in ("grid_side", "sample_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, lo in (("grid_side", 1), ("sample_count", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
     def phases(self) -> np.ndarray:
         """Sample phases as an (S, 2) array in fixed order."""
@@ -174,31 +175,31 @@ class AvalancheReport:
     n_over_mu: float
 
 
-def avalanche_residual(matrices) -> AvalancheReport:
+def avalanche_residual(matrices, log_scales=None) -> AvalancheReport:
     """Evaluate the pair-norm identity on a sequence of 2x2 unimodular matrices.
 
-    The long product is accumulated in factored form so sequences with norms
-    ~1e4 and lengths ~100 stay inside floating-point range.  A hypothesis
-    violation only clears the flag; the residual is still reported.
+    With `log_scales` the blocks come factored as product_batch gives them, A_j =
+    exp(log_scales[j]) U_j with ||U_j|| = 1; raw blocks are divided by their norms.
+    The log norms cancel exactly, so residual = |log||U_n...U_1|| - sum_j log||U_{j+1} U_j||
+    and gap = max_j -log||U_{j+1} U_j||.  A hypothesis violation only clears the flag.
     """
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
-    n = len(mats)
+    U = np.asarray(matrices, dtype=complex)
+    n = len(U)
     if n < 3:
         raise ValueError("need at least 3 matrices")
-    norms = np.array([float(spectral_norms_2x2(m)) for m in mats])
-    pair_norms = np.array(
-        [float(spectral_norms_2x2(mats[j + 1] @ mats[j])) for j in range(n - 1)]
-    )
-    # the full product, folded in order; each raw factor enters at log scale 0 and compose renormalizes
-    total = FactoredProduct(mats[0] / norms[0], float(np.log(norms[0])))
-    for m in mats[1:]:
-        total = FactoredProduct(m, 0.0).compose(total)
-    interior = float(np.sum(np.log(norms[1:-1])))
-    pairs = float(np.sum(np.log(pair_norms)))
-    residual = abs(total.log_scale + interior - pairs)
-    mu = float(np.min(norms))
-    gap = float(np.max(np.log(norms[1:]) + np.log(norms[:-1]) - np.log(pair_norms)))
-    ok = bool(mu >= n and gap <= 0.5 * np.log(mu))
+    if log_scales is None:
+        norms = spectral_norms_2x2(U)
+        U, log_scales, mu = U / norms[:, None, None], np.log(norms), float(np.min(norms))
+    else:
+        mu = float(np.exp(np.min(log_scales)))
+    # the product of the unit blocks, folded in order; compose renormalizes each step
+    total = FactoredProduct(U[0], 0.0)
+    for u in U[1:]:
+        total = FactoredProduct(u, 0.0).compose(total)
+    pair_logs = np.log(spectral_norms_2x2(U[1:] @ U[:-1]))
+    residual = abs(total.log_scale - float(np.sum(pair_logs)))
+    gap = float(np.max(0.0 - pair_logs))  # 0.0, not -0.0, when every pair is aligned
+    ok = bool(mu >= n and gap <= 0.5 * np.min(log_scales))
     return AvalancheReport(residual, mu, gap, ok, n / mu)
 
 

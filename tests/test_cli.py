@@ -13,7 +13,7 @@ import skewcmv.cli
 import skewcmv.localization
 import skewcmv.lyapunov
 from skewcmv.cli import ConfigError, config_from_doc, main, run, run_sweep
-from skewcmv.cocycle import transfer_product
+from skewcmv.cocycle import FactoredProduct, transfer_product
 from skewcmv.lyapunov import ORBIT_CHUNK, estimate_Ln
 from skewcmv.model import orbit_point, verblunsky_orbit_batch
 
@@ -270,20 +270,46 @@ class TestTasks:
         rows, failures, _ = run_doc(doc)
         assert failures == 0 and rows[0]["mu_floor"] > 1.0
 
+    @pytest.mark.parametrize("block", [200, 400, 700])
+    def test_avalanche_cocycle_long_blocks_stay_finite(self, block):
+        # block products of norm up to e^700: the residual is taken from their unit-norm factors
+        scheme = dict(SCHEME_DOC, **{"lambda": 0.95, "omega": 0.6180339887, "base_x": 0.1, "base_y": 0.3})
+        doc = {"task": "avalanche", "scheme": scheme,
+               "params": {"mode": "cocycle", "count": 10, "block": block, "z": [1.5, 0.0]}}
+        (row,), failures, _ = run_doc(doc)
+        assert failures == 0 and all(math.isfinite(v) for v in row.values() if isinstance(v, float))
+        assert row["residual"] <= 1e-12 and row["hypothesis_ok"] == 1
+
+    @pytest.mark.parametrize(
+        "params, fragment",
+        [({"mu": 1e77}, "params.mu must be <= "), ({"mu": 1e-77}, "params.mu must be >= "),
+         ({"count": 2**20 + 1}, "params.count must be <= "),
+         ({"mode": "cocycle", "count": 1025, "block": 1024}, "params.block must be <= 1023"),
+         ({"mode": "cocycle", "count": 10, "block": 10000}, "params.block: mu_floor")],
+    )
+    def test_avalanche_out_of_range_exits_with_status_2(self, tmp_path, capsys, params, fragment):
+        assert_exits_2(tmp_path, capsys, base_doc("avalanche", params), fragment)
+
+    def test_avalanche_nan_residual_is_a_failure(self, monkeypatch):
+        nan_report = skewcmv.lyapunov.AvalancheReport(math.nan, 1e3, 0.0, True, 0.01)
+        monkeypatch.setattr(skewcmv.cli, "avalanche_residual", lambda *args: nan_report)
+        rows, failures, _ = run_doc({"task": "avalanche", "params": {"mode": "diagonal", "count": 10}})
+        assert failures == 1 and math.isnan(rows[0]["residual"])
+
     def test_avalanche_cocycle_blocks_are_transfer_products(self, monkeypatch):
         seen = []
         residual = skewcmv.cli.avalanche_residual
-        monkeypatch.setattr(skewcmv.cli, "avalanche_residual", lambda mats: seen.append(mats) or residual(mats))
+        monkeypatch.setattr(skewcmv.cli, "avalanche_residual", lambda *args: seen.append(args) or residual(*args))
         z = complex(0.6, 0.9)
         cfg = config_from_doc(base_doc("avalanche", {"mode": "cocycle", "count": 6, "block": 30, "z": [z.real, z.imag]}))
         run(cfg)
-        (mats,) = seen
+        ((mats, log_scales),) = seen
         s = cfg.scheme
-        assert len(mats) == 6
-        for j, m in enumerate(mats):
+        assert len(mats) == len(log_scales) == 6
+        for j, (m, ls) in enumerate(zip(mats, log_scales)):
             start = orbit_point(s.base, s.frequency, j * 30)
-            ref = transfer_product(s, 30, z, base=np.array([start.x, start.y])).value()
-            assert np.max(np.abs(m - ref)) <= 1e-10 * np.max(np.abs(ref))
+            ref = transfer_product(s, 30, z, base=np.array([start.x, start.y]))
+            assert FactoredProduct(m, float(ls)).distance(ref) <= 1e-10
 
     def test_multiscale_task(self):
         doc = base_doc("multiscale", {"n": 6, "N": 36}, sampling={"mode": "grid", "grid_side": 6})

@@ -196,12 +196,36 @@ class TestStreamedKernel:
         assert abs(got.log_scale - ref.log_scale) <= 1e-12 * n
         assert got.distance(ref) < 1e-9
 
+    @pytest.mark.parametrize("r", [1e300, 1e-300])
+    def test_extreme_spectral_parameter_stays_finite(self, r):
+        # one step grows by |z|^(1/2) = 1e150 here, unless D is divided by its norm
+        rng = np.random.default_rng(5)
+        alphas = 0.9 * np.sqrt(rng.random((200, 16))) * np.exp(2j * np.pi * rng.random((200, 16)))
+        ls, B = streamed(alphas, r * np.exp(0.3j), [64, 128])
+        assert np.all(np.isfinite(ls)) and np.all(np.isfinite(B))
+        # the 1/sqrt z (or sqrt z) column dies out: ||M_n|| = |z|^(n/2) sqrt(1 + |alpha_{n-1}|^2) / prod rho
+        rho = np.sqrt(1.0 - np.abs(alphas) ** 2)
+        expected = 100 * abs(np.log(r)) - np.log(rho).sum(axis=0) + 0.5 * np.log1p(np.abs(alphas[-1]) ** 2)
+        assert np.max(np.abs(ls - expected) / expected) <= 1e-12
+
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_rejects_bad_spectral_parameter(self, bad):
         alphas = np.full((3, 2), 0.5)
         for z in (bad, [1.0, bad]):
             with pytest.raises(CocycleError, match="z = "):
                 product_batch(alphas, z)
+
+    def test_carry_is_continued_in_place(self):
+        rng = np.random.default_rng(6)
+        alphas = 0.9 * np.sqrt(rng.random((40, 5))) * np.exp(2j * np.pi * rng.random((40, 5)))
+        for z in (np.exp(0.4j), np.array([0.5, 2.0j, np.exp(1.3j)])):
+            carry = product_batch(alphas[:25], z)
+            ls, B = product_batch(alphas[25:], z, carry=carry)
+            assert np.shares_memory(ls, carry[0]) and np.shares_memory(B, carry[1])
+            assert np.array_equal(ls, carry[0]) and np.array_equal(B, carry[1])  # the caller's result is updated
+            last_ls, last_B = (ls, B) if np.ndim(z) == 0 else (ls[-1], B[-1])
+            ref = fold_reference(alphas[:, 0], np.reshape(z, -1)[-1])
+            assert FactoredProduct(last_B[0], float(last_ls[0])).distance(ref) < 1e-9
 
     def test_rejects_boundary_coefficients(self):
         with pytest.raises(CocycleError):

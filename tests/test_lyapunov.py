@@ -115,6 +115,19 @@ class TestEstimator:
         with pytest.raises(ValueError, match=field):
             SamplingConfig(**{field: 0})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("grid_side", 2.5), ("grid_side", True), ("grid_side", 3.0), ("sample_count", 64.0), ("sample_count", False),
+         ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", True), ("rng_seed", "0")],
+    )
+    def test_non_integer_size_or_negative_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SamplingConfig(**{field: value})
+
+    def test_numpy_integer_sizes_and_seed_accepted(self):
+        cfg = SamplingConfig(mode="monte-carlo", grid_side=np.int64(3), sample_count=np.int32(5), rng_seed=np.uint8(2))
+        assert len(cfg.phases()) == 5 and len(SamplingConfig(grid_side=np.int64(3)).phases()) == 9
+
     def test_non_finite_spectral_parameter_rejected(self):
         s = make_scheme(TRIG, 0.9, 0.618)
         with pytest.raises(CocycleError, match="nan"):
@@ -123,9 +136,9 @@ class TestEstimator:
 
 class TestStreaming:
     @staticmethod
-    def peak_bytes(n: int, z=np.exp(0.7j), samples: int = 256) -> int:
+    def peak_bytes(n: int, z=np.exp(0.7j), samples: int = 256, cfg=None) -> int:
         s = make_scheme(TRIG, 0.9, 0.618)
-        cfg = SamplingConfig(mode="monte-carlo", sample_count=samples, rng_seed=4)
+        cfg = cfg or SamplingConfig(mode="monte-carlo", sample_count=samples, rng_seed=4)
         tracemalloc.start()
         try:
             estimate_Ln(s, z, n, cfg)
@@ -141,6 +154,14 @@ class TestStreaming:
         zs = np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
         short, long = self.peak_bytes(4 * ORBIT_CHUNK, zs), self.peak_bytes(32 * ORBIT_CHUNK, zs)
         assert long <= 1.25 * short, (short, long)
+
+    def test_many_z_memory_independent_of_chunk_count(self):
+        # localize's reference shape, 512 z over a 12 x 12 grid: continuing the carry must not
+        # copy the (Z, S) products once the orbit crosses a chunk boundary
+        zs = np.exp(2j * np.pi * (np.arange(512) + 0.5) / 512)
+        cfg = SamplingConfig(mode="grid", grid_side=12)
+        one, four = self.peak_bytes(ORBIT_CHUNK, zs, cfg=cfg), self.peak_bytes(4 * ORBIT_CHUNK, zs, cfg=cfg)
+        assert four - one <= 2**20, (one, four)
 
     def test_memory_independent_of_sample_count(self):
         short = self.peak_bytes(2 * ORBIT_CHUNK, samples=PHASE_TILE)
@@ -237,6 +258,20 @@ class TestAvalanche:
             rep = avalanche_residual(mats)
             assert rep.hypothesis_ok
             assert rep.residual < 10 * rep.n_over_mu
+
+    def test_factored_blocks_cancel_their_log_norms(self):
+        rng = np.random.default_rng(8)
+        mats = []
+        for _ in range(20):
+            m, phi = 1e3 * rng.uniform(1, 10), rng.uniform(-0.3, 0.3)
+            mats.append(np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]) @ np.diag([m, 1 / m]))
+        raw = avalanche_residual(mats)
+        norms = np.array([np.linalg.norm(m, 2) for m in mats])
+        # the same unit blocks at norms e^600 times larger, beyond float range as raw matrices
+        big = avalanche_residual(np.array(mats) / norms[:, None, None], np.log(norms) + 600.0)
+        assert abs(big.residual - raw.residual) <= 1e-12 and abs(big.gap - raw.gap) <= 1e-12
+        assert big.mu_floor == pytest.approx(raw.mu_floor * np.exp(600.0), rel=1e-12)
+        assert big.hypothesis_ok and raw.hypothesis_ok
 
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError):
