@@ -106,6 +106,7 @@ class Task:
     needs_scheme: bool
     params: tuple
     exclusive: tuple = ()  # groups of params of which at most one may be given
+    sampled: bool = False  # reads the sampling plan; other tasks take only sampling.rng_seed
 
 
 def _complex(value) -> complex:
@@ -515,12 +516,12 @@ _BOUNDARY = (Param("beta", _boundary, [1.0, 0.0]), Param("gamma", _boundary, [1.
 TASKS = {
     "lyapunov": Task(_task_lyapunov, True, (
         Param("n", int, 100, lo=1), _Z, Param("z_list", _spectral, many=True), Param("z_circle", int, lo=1),
-    ), exclusive=(("z", "z_list", "z_circle"),)),
+    ), exclusive=(("z", "z_list", "z_circle"),), sampled=True),
     "ldt": Task(_task_ldt, True, (
         _Z, Param("n_list", int, [20, 40, 80], lo=1, many=True),
         Param("thresholds", many=True, ascending=True),
         Param("threshold_factors", default=[0.1], many=True, ascending=True),
-    ), exclusive=(("thresholds", "threshold_factors"),)),
+    ), exclusive=(("thresholds", "threshold_factors"),), sampled=True),
     "avalanche": Task(_task_avalanche, False, (
         Param("mode", _text, "hyperbolic", choices=("diagonal", "hyperbolic", "cocycle")),
         Param("count", int, 50, lo=3, hi=_MAX_AVALANCHE_STEPS), Param("mu", _positive, 1e3, lo=1 / _MAX_MU, hi=_MAX_MU),
@@ -528,8 +529,8 @@ TASKS = {
     )),
     "multiscale": Task(_task_multiscale, True, (
         Param("n", int, 10, lo=1), Param("N", int, 100, lo=lambda v: v["n"] * v["n"]), _Z,
-    )),
-    "positivity": Task(_task_positivity, True, (Param("n", int, 200, lo=1), _Z)),
+    ), sampled=True),
+    "positivity": Task(_task_positivity, True, (Param("n", int, 200, lo=1), _Z), sampled=True),
     "uniform-bound": Task(_task_uniform_bound, True, (
         Param("n0", int, 50, lo=1), Param("N", int, 500, lo=lambda v: v["n0"] + 1),
         Param("grid_side", int, 32, lo=1, hi=_MAX_GRID_SIDE), Param("sigma0", default=0.5), _Z,
@@ -550,7 +551,7 @@ TASKS = {
     "localize": Task(_task_localize, True, (
         Param("size", int, 128, lo=64, hi=_MAX_SITES), *_BOUNDARY, Param("rate_factor", default=0.5),
         Param("r2_min", default=0.9), Param("scale", int, lo=1),
-    )),
+    ), sampled=True),
     "dio-check": Task(_task_dio_check, False, (
         Param("omega"), Param("epsilon", default=0.1), Param("horizon", int, 10000, lo=1, hi=_MAX_HORIZON),
     )),
@@ -563,10 +564,10 @@ TASKS = {
 # the fields of a config document outside params
 _TOP_KEYS = ("task", "scheme", "params", "sampling", "output", "sweep")
 _SCHEME_KEYS = ("coefficients", "lambda", "omega", "base_x", "base_y")
+_SEED = Param("rng_seed", int, 0, lo=0)
 _SAMPLING = (
     Param("mode", _text, "grid"), Param("grid_side", int, 24, hi=_MAX_GRID_SIDE),
-    Param("sample_count", int, 1024, hi=_MAX_SAMPLES),
-    Param("rng_seed", int, 0, lo=0),
+    Param("sample_count", int, 1024, hi=_MAX_SAMPLES), _SEED,
 )
 _OUTPUT = (Param("path", _text, "-"), Param("format", _text, "csv", choices=("csv", "json")))
 _SCHEME_AXES = ("lambda", "omega")
@@ -648,7 +649,7 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"scheme: task {task!r} requires a scheme")
     params = doc.get("params", {})
     values = _fields(task, "params", params, spec.params, spec.exclusive)
-    plan = _fields(task, "sampling", doc.get("sampling", {}), _SAMPLING)
+    plan = _fields(task, "sampling", doc.get("sampling", {}), _SAMPLING if spec.sampled else (_SEED,))
     try:
         sampling = SamplingConfig(**plan)
     except ValueError as exc:

@@ -8,15 +8,15 @@ make the window unitary with an exact factorization E = L M into direct sums of
 2x2 blocks (even-indexed blocks in L, odd-indexed in M; parity is anchored to
 the absolute lattice index).
 
-Every window comes from one builder, `_window_band`, and it is the only place
+Every window comes from one builder, `_window_lm`, and it is the only place
 that knows which block belongs to which factor.  From the coefficients
 alpha_{a-1} .. alpha_b, the only ones E over [a, b] reads, and a substitution
 map it forms all Theta blocks at once and cuts them into `lm`, the diagonals
-and off-diagonals of the symmetric tridiagonals L and M.  E's five diagonals
-(Cantero, Moral & Velazquez 2003) are read off `lm`, each entry the single
-product L[i, k] M[k, j] that parity selects, in LAPACK's general band layout.
-The dense E that dense eigensolvers and the dense oracles need is
-scattered from the band on first use, and the dense L and M from `lm`.
+and off-diagonals of the symmetric tridiagonals L and M.  A window stores `lm`
+and nothing derived from it: E X is computed as L (M X), and E's five
+diagonals (Cantero, Moral & Velazquez 2003) are formed from `lm` on demand,
+each entry the single nonzero product L[i, k] M[k, j], when a dense E is
+scattered for dense eigensolvers and the dense oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import VerblunskyScheme, scheme_hash, verblunsky_range
+from .model import VerblunskyScheme, verblunsky_range
 
 __all__ = [
     "CoefficientError",
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 _UNIMODULAR_TOL = 1e-12
-# half-bandwidth of E; the band layout is band[_BAND + i - j, j] = E[i, j]
-_BAND = 2
 
 
 class CoefficientError(ValueError):
@@ -77,76 +75,60 @@ def theta_block(alpha: complex) -> np.ndarray:
     return _theta(complex(alpha))
 
 
-def _window_band(alphas, a: int, substitutions: dict | None = None) -> tuple[np.ndarray, tuple]:
-    """E over [a, b] in band layout, and lm = (l_diag, l_off, m_diag, m_off), from alphas[m] = alpha_{a-1+m}.
+def _window_lm(alphas, a: int, substitutions: dict | None = None) -> tuple:
+    """lm = (l_diag, l_off, m_diag, m_off) of E = L M over [a, b], from alphas[m] = alpha_{a-1+m}.
 
     `substitutions` maps lattice sites to replacement coefficients; sites
     outside a-1 .. b do not enter E and are ignored.  L and M are symmetric
     tridiagonal over [a, b]: site j takes the [0, 0] entry of its own Theta
     block and the [1, 1] entry of the block at j - 1; its own block belongs to
     L at even j and to M at odd j, and so does the off-diagonal entry rho_j
-    that couples j and j + 1.  Each entry of E = L M is the one product that
-    parity selects, so no zero term is summed into it.
+    that couples j and j + 1.
     """
     alphas = np.array(alphas, dtype=complex)
     for site, value in (substitutions or {}).items():
         if 0 <= site - (a - 1) < len(alphas):
             alphas[site - (a - 1)] = value
     blocks = _theta(alphas)  # blocks[m] sits at site a - 1 + m
-    n = len(alphas) - 1
-    own_is_l = (a + np.arange(n)) % 2 == 0
+    own_is_l = (a + np.arange(len(alphas) - 1)) % 2 == 0
     own, before, rho = blocks[1:, 0, 0], blocks[:-1, 1, 1], blocks[1:-1, 0, 1]
-    ld, md = np.where(own_is_l, own, before), np.where(own_is_l, before, own)
     pair = own_is_l[:-1]  # pair[i]: L couples i and i + 1, else M does
-    lo, mo = np.where(pair, rho, 0.0), np.where(pair, 0.0, rho)
-    band = np.zeros((2 * _BAND + 1, n), dtype=complex)
-    band[_BAND] = ld * md
-    band[_BAND - 1, 1:] = np.where(pair, lo * md[1:], ld[:-1] * mo)   # E[i, i + 1]
-    band[_BAND + 1, :-1] = np.where(pair, lo * md[:-1], ld[1:] * mo)  # E[i + 1, i]
-    band[_BAND - 2, 2:] = np.where(pair[:-1], lo[:-1] * mo[1:], 0.0)  # E[i, i + 2]
-    band[_BAND + 2, :-2] = np.where(pair[1:], lo[1:] * mo[:-1], 0.0)  # E[i + 2, i]
-    return band, (ld, lo, md, mo)
+    return (np.where(own_is_l, own, before), np.where(pair, rho, 0.0),
+            np.where(own_is_l, before, own), np.where(pair, 0.0, rho))
 
 
-def _dense(band: np.ndarray) -> np.ndarray:
-    """The dense matrix of a band layout."""
-    n = band.shape[1]
-    E = np.zeros((n, n), dtype=complex)
-    flat = E.reshape(-1)
-    for k in range(-_BAND, _BAND + 1):  # E[j + k, j] for j0 <= j < j1, a stride of n + 1 in `flat`
-        j0, j1 = max(-k, 0), n - max(k, 0)
-        flat[(j0 + k) * n + j0 :: n + 1][: j1 - j0] = band[_BAND + k, j0:j1]
-    return E
-
-
-def _band_dot(band: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """E X for a 2-D X, from the band layout of E."""
-    n = len(X)
-    out = np.zeros(X.shape, dtype=complex)
-    for k in range(-_BAND, _BAND + 1):  # out[i] += E[i, i - k] X[i - k]
-        lo, hi = max(k, 0), n + min(k, 0)
-        out[lo:hi] += band[_BAND + k, lo - k : hi - k, None] * X[lo - k : hi - k]
+def _tri_dot(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T X for a 2-D X and the symmetric tridiagonal T with these diagonal and off-diagonal entries."""
+    out = diag[:, None] * X
+    out[:-1] += off[:, None] * X[1:]
+    out[1:] += off[:, None] * X[:-1]
     return out
 
 
-def _hermitian_part(band: np.ndarray) -> np.ndarray:
-    """(E + E*)/2 in band layout, from the band layout of E."""
-    n = band.shape[1]
-    hb = np.zeros_like(band)
-    for k in range(-_BAND, _BAND + 1):  # H[j + k, j] = (E[j + k, j] + conj(E[j, j + k])) / 2
-        j0, j1 = max(-k, 0), n - max(k, 0)
-        hb[_BAND + k, j0:j1] = 0.5 * (band[_BAND + k, j0:j1] + band[_BAND - k, j0 + k : j1 + k].conj())
-    return hb
+def _lm_dot(lm: tuple, X: np.ndarray) -> np.ndarray:
+    """E X = L (M X) for a 2-D X."""
+    return _tri_dot(lm[0], lm[1], _tri_dot(lm[2], lm[3], X))
 
 
-def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The dense symmetric tridiagonal matrix with these diagonal and off-diagonal entries."""
-    n = len(diag)
-    T = np.zeros((n, n), dtype=complex)
-    flat = T.reshape(-1)
-    flat[:: n + 1] = diag
-    flat[1 :: n + 1] = flat[n :: n + 1] = off
-    return T
+def _diagonals(lm: tuple) -> dict:
+    """E's diagonals by offset k, the entries E[j + k, j] in order of j, for |k| <= 2.
+
+    L and M never couple the same pair of sites, so of the products summed
+    into an entry at most one is nonzero, and the sum is that product.
+    """
+    ld, lo, md, mo = lm
+    return {0: ld * md, 1: lo * md[:-1] + ld[1:] * mo, -1: ld[:-1] * mo + lo * md[1:],
+            2: lo[1:] * mo[:-1], -2: lo[:-1] * mo[1:]}
+
+
+def _dense(diagonals: dict) -> np.ndarray:
+    """The dense matrix with these diagonals, given as by `_diagonals`; offset 0 sets the size."""
+    n = len(diagonals[0])
+    A = np.zeros((n, n), dtype=complex)
+    flat = A.reshape(-1)
+    for k, d in diagonals.items():  # A[j + k, j] is a stride of n + 1 in `flat`, from A[max(k, 0), max(-k, 0)]
+        flat[max(k, 0) * n + max(-k, 0) :: n + 1][: len(d)] = d
+    return A
 
 
 @dataclass(frozen=True)
@@ -181,7 +163,7 @@ def scheme_submatrix(
     (used for boundary modifications and for the determinant identities, where
     sub-windows keep raw coefficients at the inner cuts).
     """
-    return _dense(_window_band(verblunsky_range(s, a - 1, b), a, substitutions)[0])
+    return _dense(_diagonals(_window_lm(verblunsky_range(s, a - 1, b), a, substitutions)))
 
 
 @dataclass(frozen=True)
@@ -191,9 +173,9 @@ class CMVWindow:
     `raw_alphas` holds the scheme's unmodified coefficients on [a-1, b]
     (needed by the determinant identities and the boundary-value formulas);
     the effective sequence replaces the values at a-1 and b by beta and gamma.
-    `band` holds E's five diagonals and `lm` the diagonals and off-diagonals of
-    the symmetric tridiagonal factors L and M.  The dense `matrix` (E) is
-    scattered from `band` on first use, and the dense `L` and `M` from `lm`.
+    `lm` holds the diagonals and off-diagonals of the symmetric tridiagonal
+    factors L and M, and nothing derived from them is stored: the dense
+    `matrix` (E), `L` and `M` are scattered from `lm` on first use.
     """
 
     a: int
@@ -201,10 +183,8 @@ class CMVWindow:
     beta: complex
     gamma: complex
     raw_alphas: np.ndarray  # scheme values on lattice sites a-1 .. b
-    band: np.ndarray        # E in band layout, band[_BAND + i - j, j] = E[i, j]
     lm: tuple               # (l_diag, l_off, m_diag, m_off) of E = L M
     unimodular: bool
-    scheme_ref: str = ""
 
     @property
     def size(self) -> int:
@@ -213,15 +193,15 @@ class CMVWindow:
     @cached_property
     def matrix(self) -> np.ndarray:
         """E = submatrix of the modified operator."""
-        return _dense(self.band)
+        return _dense(_diagonals(self.lm))
 
     @cached_property
     def L(self) -> np.ndarray:
-        return _tridiagonal(*self.lm[:2])
+        return _dense({0: self.lm[0], 1: self.lm[1], -1: self.lm[1]})
 
     @cached_property
     def M(self) -> np.ndarray:
-        return _tridiagonal(*self.lm[2:])
+        return _dense({0: self.lm[2], 1: self.lm[3], -1: self.lm[3]})
 
     def raw_alpha(self, n: int) -> complex:
         if not self.a - 1 <= n <= self.b:
@@ -246,17 +226,14 @@ def assemble_window(s: VerblunskyScheme, interval, bc: BoundaryPair) -> CMVWindo
     if b - a + 1 < 2:
         raise ValueError("window size must be >= 2")
     raw = verblunsky_range(s, a - 1, b)
-    band, lm = _window_band(raw, a, {a - 1: bc.beta, b: bc.gamma})
     return CMVWindow(
         a=a,
         b=b,
         beta=bc.beta,
         gamma=bc.gamma,
         raw_alphas=raw,
-        band=band,
-        lm=lm,
+        lm=_window_lm(raw, a, {a - 1: bc.beta, b: bc.gamma}),
         unimodular=bc.unimodular,
-        scheme_ref=scheme_hash(s),
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv import CMVWindow, _band_dot, _dense, _tridiagonal, _window_band
+from .cmv import CMVWindow, _dense, _diagonals, _lm_dot, _window_lm
 
 __all__ = [
     "SpectrumError",
@@ -63,7 +63,8 @@ class GreenMatrix:
 def _pencil(window: CMVWindow, z: complex) -> np.ndarray:
     """z L* - M, dense; L is symmetric, so L* = conj(L) and the pencil is tridiagonal."""
     l_diag, l_off, m_diag, m_off = window.lm
-    return _tridiagonal(z * l_diag.conj() - m_diag, z * l_off.conj() - m_off)
+    off = z * l_off.conj() - m_off
+    return _dense({0: z * l_diag.conj() - m_diag, 1: off, -1: off})
 
 
 def green_matrix(window: CMVWindow, z: complex) -> GreenMatrix:
@@ -89,8 +90,8 @@ def _logabs_charpoly(window: CMVWindow, lo: int, hi: int, z: complex) -> float:
     if hi < lo:
         return 0.0
     cuts = {window.a - 1: window.beta, window.b: window.gamma}
-    band, _ = _window_band(window.raw_alphas[lo - window.a : hi - window.a + 2], lo, cuts)
-    return float(np.linalg.slogdet(z * np.eye(hi - lo + 1) - _dense(band))[1])
+    E = _dense(_diagonals(_window_lm(window.raw_alphas[lo - window.a : hi - window.a + 2], lo, cuts)))
+    return float(np.linalg.slogdet(z * np.eye(hi - lo + 1) - E)[1])
 
 
 def green_entry_via_polys(window: CMVWindow, j: int, k: int, z: complex) -> float:
@@ -276,8 +277,7 @@ def restriction_residual(window: CMVWindow, z: complex, psi: np.ndarray) -> floa
     z = complex(z)
     # E psi = z psi on the raw rows over [a-1, b+1]; the interior rows a+1 .. b-1 read only
     # alpha_{a-1} .. alpha_b, so the padding is free
-    band, _ = _window_band(np.pad(window.raw_alphas, 1), a - 1)
-    resid = _band_dot(band, psi[:, None])[:, 0] - z * psi
+    resid = _lm_dot(_window_lm(np.pad(window.raw_alphas, 1), a - 1), psi[:, None])[:, 0] - z * psi
     defect = float(np.max(np.abs(resid[2:-2]))) if len(resid) > 4 else float(np.max(np.abs(resid)))
     if defect > _EIGEN_TOL:
         raise SolutionError(f"eigen-equation residual {defect:.3e} > {_EIGEN_TOL:.0e} on the interior")

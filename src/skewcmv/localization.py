@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv import BoundaryPair, CMVWindow, _band_dot, _dense, _hermitian_part, assemble_window
+from .cmv import BoundaryPair, CMVWindow, _dense, _diagonals, _lm_dot, _tri_dot, assemble_window
 from .green import _line_fit
 from .lyapunov import SamplingConfig, estimate_Ln_many
 from .model import VerblunskyScheme
@@ -67,8 +67,8 @@ def window_spectrum(window: CMVWindow) -> list:
             w, V = np.linalg.eig(window.matrix)
             V /= np.linalg.norm(V, axis=0)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed on window {window.scheme_ref} [{window.a},{window.b}]: {exc}") from exc
-    w, resid = _residuals(window.band, V, w)
+        raise RuntimeError(f"eigensolver failed on window [{window.a},{window.b}]: {exc}") from exc
+    w, resid = _residuals(window.lm, V, w)
     order = np.argsort(np.angle(w) % (2.0 * np.pi), kind="stable")
     return [EigenPair(complex(w[i]), V[:, i], float(resid[i])) for i in order]
 
@@ -91,27 +91,25 @@ def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
     takes _LANE_BLOCK shifts per call.  A shift that makes the system exactly
     singular is an eigenvalue to working precision, and its vector stays.
     """
-    ab = window.band
-    n = ab.shape[1]
-    c, V = np.linalg.eigh(_dense(_hermitian_part(ab)))
+    lm, n = window.lm, window.size
+    d = _diagonals(lm)  # H[j + k, j] = (E[j + k, j] + conj(E[j, j + k])) / 2
+    c, V = np.linalg.eigh(_dense({k: 0.5 * (d[k] + d[-k].conj()) for k in d}))
     cuts = np.flatnonzero(np.diff(c) >= _CLUSTER_SPACINGS * 2.0 / n) + 1
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
         if hi - lo > 1:
             g = slice(lo, hi)
             # Y has unit columns and V[:, g] orthonormal ones, so V[:, g] Y stays unit
-            _, Y = np.linalg.eig(V[:, g].conj().T @ _band_dot(ab, V[:, g]))
+            _, Y = np.linalg.eig(V[:, g].conj().T @ _lm_dot(lm, V[:, g]))
             V[:, g] = V[:, g] @ Y
-    l_diag, l_off, m_diag, m_off = window.lm
+    l_diag, l_off, m_diag, m_off = lm
     m_diag, m_off = m_diag.conj(), m_off.conj()  # now of conj(M)
-    shifts = _residuals(ab, V)[0]
+    shifts = _residuals(lm, V)[0]
     for j in range(0, n, _LANE_BLOCK):
         cols = np.arange(j, min(j + _LANE_BLOCK, n))
         y = _pencil_solve(l_diag, l_off, m_diag, m_off, shifts[cols], V[:, cols])
         solved = np.isfinite(y).all(axis=0)
         y, cols = y[:, solved], cols[solved]
-        x = m_diag[:, None] * y
-        x[:-1] += m_off[:, None] * y[1:]
-        x[1:] += m_off[:, None] * y[:-1]
+        x = _tri_dot(m_diag, m_off, y)
         V[:, cols] = x / np.linalg.norm(x, axis=0)
     return V
 
@@ -149,10 +147,10 @@ def _pencil_solve(a_diag, a_off, b_diag, b_off, shifts, rhs) -> np.ndarray:
     return y[:n]
 
 
-def _residuals(ab: np.ndarray, V: np.ndarray, w: np.ndarray | None = None) -> tuple:
+def _residuals(lm: tuple, V: np.ndarray, w: np.ndarray | None = None) -> tuple:
     """(w, ||E v - w v||) for the unit columns v of V; w defaults to the Rayleigh quotients v* E v.
 
-    E V is formed from the band of E in column blocks.
+    E V is formed as L (M V), from the window's `lm`, in column blocks.
     """
     n = V.shape[1]
     rayleigh = w is None
@@ -162,7 +160,7 @@ def _residuals(ab: np.ndarray, V: np.ndarray, w: np.ndarray | None = None) -> tu
     for j in range(0, n, _COLUMN_BLOCK):
         blk = slice(j, j + _COLUMN_BLOCK)
         v = V[:, blk]
-        ev = _band_dot(ab, v)
+        ev = _lm_dot(lm, v)
         if rayleigh:
             w[blk] = np.einsum("ij,ij->j", v.conj(), ev)
         resid[blk] = np.linalg.norm(ev - v * w[blk], axis=0)

@@ -175,6 +175,23 @@ class AvalancheReport:
     n_over_mu: float
 
 
+def _product_tree(U: np.ndarray) -> FactoredProduct:
+    """U[n-1] ... U[1] U[0] for a stack of 2x2 matrices, multiplied as a pairwise tree.
+
+    The blocks have unit norm.  Each level is one batched product of neighbouring
+    blocks, renormalized to unit norm, and an odd block is carried up as it is;
+    every log norm taken off joins the product's log scale.
+    """
+    P, log_scale = U, 0.0
+    while len(P) > 1:
+        m = len(P) - len(P) % 2
+        prod = P[1:m:2] @ P[0:m:2]
+        s = spectral_norms_2x2(prod)
+        P = np.concatenate([prod / s[:, None, None], P[m:]])
+        log_scale += float(np.sum(np.log(s)))
+    return FactoredProduct(P[0], log_scale)
+
+
 def avalanche_residual(matrices, log_scales=None) -> AvalancheReport:
     """Evaluate the pair-norm identity on a sequence of 2x2 unimodular matrices.
 
@@ -192,10 +209,7 @@ def avalanche_residual(matrices, log_scales=None) -> AvalancheReport:
         U, log_scales, mu = U / norms[:, None, None], np.log(norms), float(np.min(norms))
     else:
         mu = float(np.exp(np.min(log_scales)))
-    # the product of the unit blocks, folded in order; compose renormalizes each step
-    total = FactoredProduct(U[0], 0.0)
-    for u in U[1:]:
-        total = FactoredProduct(u, 0.0).compose(total)
+    total = _product_tree(U)
     pair_logs = np.log(spectral_norms_2x2(U[1:] @ U[:-1]))
     residual = abs(total.log_scale - float(np.sum(pair_logs)))
     gap = float(np.max(0.0 - pair_logs))  # 0.0, not -0.0, when every pair is aligned

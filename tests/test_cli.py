@@ -12,7 +12,7 @@ import pytest
 import skewcmv.cli
 import skewcmv.localization
 import skewcmv.lyapunov
-from skewcmv.cli import ConfigError, config_from_doc, main, run, run_sweep
+from skewcmv.cli import TASKS, ConfigError, config_from_doc, main, run, run_sweep
 from skewcmv.cocycle import FactoredProduct, transfer_product
 from skewcmv.lyapunov import ORBIT_CHUNK, estimate_Ln
 from skewcmv.model import orbit_point, verblunsky_orbit_batch
@@ -27,12 +27,9 @@ SCHEME_DOC = {
 
 
 def base_doc(task, params=None, sampling=None):
-    return {
-        "task": task,
-        "scheme": dict(SCHEME_DOC),
-        "params": params or {},
-        "sampling": sampling or {"mode": "monte-carlo", "sample_count": 64, "rng_seed": 3},
-    }
+    """A config for `task`; a task that reads no sampling plan gets only the plan's seed."""
+    plan = {"mode": "monte-carlo", "sample_count": 64, "rng_seed": 3} if TASKS[task].sampled else {"rng_seed": 3}
+    return {"task": task, "scheme": dict(SCHEME_DOC), "params": params or {}, "sampling": sampling or plan}
 
 
 def run_doc(doc):
@@ -215,6 +212,14 @@ class TestConfig:
             (base_doc("ldt", {"thresholds": [0.1], "threshold_factors": [0.2]}),
              ["params.thresholds", "params.threshold_factors"]),
             (base_doc("lyapunov", sampling={"grid_side": 2.9}), ["sampling.grid_side must be an integer"]),
+            # a task that reads no sampling plan takes only sampling.rng_seed
+            (base_doc("uniform-bound", sampling={"mode": "monte-carlo", "sample_count": 7, "grid_side": 200}),
+             ["sampling.mode: unknown key for task 'uniform-bound'"]),
+            (base_doc("spectrum", sampling={"mode": "grid", "rng_seed": 1}), ["sampling.mode"]),
+            (base_doc("spectrum", sampling={"grid_side": 4}), ["sampling.grid_side"]),
+            (base_doc("dio-check", sampling={"grid_side": 4}), ["sampling.grid_side"]),
+            (base_doc("green-check", sampling={"sample_count": 10}), ["sampling.sample_count"]),
+            (base_doc("avalanche", sampling={"mode": "grid"}), ["sampling.mode"]),
         ],
     )
     def test_malformed_document_exits_with_status_2(self, tmp_path, capsys, doc, fields):
@@ -415,14 +420,15 @@ class TestEntryPoint:
         monkeypatch.setattr(skewcmv.localization, "window_spectrum", one_bad_residual)
         monkeypatch.setattr(skewcmv.cli, "window_spectrum", one_bad_residual)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(base_doc(task, {"size": 64}, {"mode": "grid", "grid_side": 4})))
+        plan = {"mode": "grid", "grid_side": 4} if TASKS[task].sampled else None
+        cfg_path.write_text(json.dumps(base_doc(task, {"size": 64}, plan)))
         out_path = tmp_path / "o.json"
         assert main(["--config", str(cfg_path), "--out", str(out_path), "--format", "json"]) == 1
         assert len(json.loads(out_path.read_text())["rows"]) == 64
 
     def test_flag_overrides_config_task(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        doc = base_doc("lyapunov", {"omega": 0.5, "horizon": 3})
+        doc = base_doc("lyapunov", {"omega": 0.5, "horizon": 3}, {"rng_seed": 3})  # dio-check reads no plan
         cfg_path.write_text(json.dumps(doc))
         rc = main(["dio-check", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
         assert rc == 0
@@ -529,7 +535,8 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.parametrize("task, params", [("spectrum", {"size": 32}), ("localize", {"size": 64})])
 def test_spectrum_tasks_run_without_scipy(tmp_path, task, params):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_doc(task, params, {"mode": "grid", "grid_side": 4})))
+    plan = {"mode": "grid", "grid_side": 4} if TASKS[task].sampled else None
+    cfg_path.write_text(json.dumps(base_doc(task, params, plan)))
     out = tmp_path / "o.json"
     env = dict(os.environ, PYTHONPATH=str(Path(skewcmv.cli.__file__).parents[1]))
     r = subprocess.run([sys.executable, "-c", _NO_SCIPY, "--config", str(cfg_path), "--out", str(out),

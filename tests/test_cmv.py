@@ -8,7 +8,7 @@ from skewcmv.cmv import (
     CoefficientError,
     assemble_window,
     char_poly,
-    _band_dot,
+    _lm_dot,
     scheme_submatrix,
     theta_block,
 )
@@ -163,7 +163,7 @@ class TestWindowAssembly:
 
 
 class TestBuilderAgainstDenseReference:
-    """The banded builder against the dense L M product it replaced, to rounding (<= 1e-15)."""
+    """The builder against the dense L M product it replaced, to rounding (<= 1e-15)."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -191,7 +191,7 @@ class TestBuilderAgainstDenseReference:
         i, j = np.indices(w.matrix.shape)
         assert np.all(w.matrix[np.abs(i - j) > 2] == 0.0)
         X = rng.standard_normal((size, 3)) + 1j * rng.standard_normal((size, 3))
-        assert np.max(np.abs(_band_dot(w.band, X) - w.matrix @ X)) <= 1e-14
+        assert np.max(np.abs(_lm_dot(w.lm, X) - w.matrix @ X)) <= 1e-14
 
         # a raw submatrix with one interior or cut site substituted, plus one site that never enters
         subs = {a - 1 + site % (size + 1): 0.6 * np.exp(1j * site), b + 5: 0.1}

@@ -2,11 +2,12 @@ import importlib.util
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -22,7 +23,7 @@ from skewcmv.localization import (
 )
 from skewcmv.cli import config_from_doc, run
 from skewcmv.lyapunov import SamplingConfig, estimate_Ln_many
-from schemes import make_scheme
+from schemes import make_scheme, random_scheme
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
@@ -134,6 +135,32 @@ class TestNormalPath:
         assert np.median(drate) < 1e-3
         assert np.mean(np.array(drate) > 0.05) <= 0.01
         assert np.mean(np.array(dr2) > 0.05) <= 0.01
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 128),
+        a=st.integers(-6, 6),
+        radii=st.tuples(st.just(1.0) | st.floats(0.0, 1.0), st.just(1.0) | st.floats(0.0, 1.0)),
+    )
+    @example(seed=0, size=2, a=-3, radii=(1.0, 1.0))  # no +-2 diagonals
+    @example(seed=1, size=3, a=4, radii=(0.3, 1.0))   # one entry on each
+    @example(seed=2, size=4, a=1, radii=(1.0, 0.0))
+    @example(seed=3, size=5, a=0, radii=(0.5, 0.9))
+    def test_scattered_hermitian_part_is_dense_formula(self, seed, size, a, radii):
+        """The H that _normal_eigvecs scatters from E's diagonals equals (E + E*) / 2 formed densely."""
+        rng = np.random.default_rng(seed)
+        beta, gamma = (r * np.exp(2j * np.pi * rng.random()) for r in radii)
+        w = assemble_window(random_scheme(rng, max_coupling=0.92), (a, a + size - 1), BoundaryPair(beta, gamma))
+        seen = []
+
+        def stop_at_eigh(H):
+            seen.append(H)
+            raise StopIteration
+
+        with mock.patch.object(np.linalg, "eigh", stop_at_eigh), pytest.raises(StopIteration):
+            localization._normal_eigvecs(w)
+        assert np.array_equal(seen[0], (w.matrix + w.matrix.conj().T) / 2)
 
     @pytest.mark.parametrize("gamma,dense", [(0.5, True), (1.0, False)])
     def test_route_follows_unimodularity(self, monkeypatch, gamma, dense):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcmv.cocycle import CocycleError, product_batch, scaling_factor
+from skewcmv.cocycle import CocycleError, FactoredProduct, product_batch, scaling_factor, spectral_norms_2x2
 from skewcmv.lyapunov import (
     ORBIT_CHUNK,
     PHASE_TILE,
     SamplingConfig,
+    _product_tree,
     _u_values,
     avalanche_residual,
     deviation_profile,
@@ -276,6 +277,23 @@ class TestAvalanche:
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError):
             avalanche_residual([np.eye(2)] * 2)
+
+    @pytest.mark.parametrize("count", range(3, 10))
+    def test_product_tree_matches_left_fold(self, count):
+        # odd counts carry a block up a level; the left fold composes one block at a time
+        rng = np.random.default_rng(count)
+        U = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+        U[:, 0] *= 1e3 * rng.uniform(1, 10, size=(count, 1))
+        U /= spectral_norms_2x2(U)[:, None, None]
+        fold = FactoredProduct(U[0], 0.0)
+        for u in U[1:]:
+            fold = FactoredProduct(u, 0.0).compose(fold)
+        tree = _product_tree(U)
+        assert abs(tree.log_scale - fold.log_scale) <= 1e-12 * max(1.0, abs(fold.log_scale))
+        assert tree.distance(fold) <= 1e-12
+        pair_sum = float(np.sum(np.log(spectral_norms_2x2(U[1:] @ U[:-1]))))
+        old = abs(fold.log_scale - pair_sum)
+        assert abs(avalanche_residual(U, np.zeros(count)).residual - old) <= 1e-12 * max(1.0, old)
 
 
 class TestMultiscale:
