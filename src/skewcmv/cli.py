@@ -295,23 +295,21 @@ def _task_lyapunov(cfg: ExperimentConfig, rng, n, z, z_list, z_circle):
 def _task_ldt(cfg: ExperimentConfig, rng, z, n_list, thresholds, threshold_factors):
     P = scaling_factor(cfg.scheme, z).value
     thresholds = thresholds or [f * P for f in threshold_factors]
-    rows = []
-    for n in n_list:
-        prof = deviation_profile(cfg.scheme, z, n, thresholds, cfg.sampling)
-        for t, m in zip(prof.thresholds, prof.measure):
-            rows.append(
-                {"n": n, "z_re": z.real, "z_im": z.imag, "threshold": t, "measure": m, "P": P}
-            )
+    rows = [
+        {"n": prof.n, "z_re": z.real, "z_im": z.imag, "threshold": t, "measure": m, "P": P}
+        for prof in deviation_profile(cfg.scheme, z, n_list, thresholds, cfg.sampling)
+        for t, m in zip(prof.thresholds, prof.measure)
+    ]
     return rows, 0, f"profiles at n={n_list}"
 
 
 def _task_avalanche(cfg: ExperimentConfig, rng, mode, count, mu, block, z):
     ls = None  # raw blocks, which avalanche_residual factors itself
     if mode == "diagonal":
-        mats = [np.diag([mu, 1.0 / mu]) for _ in range(count)]
-    elif mode == "hyperbolic":  # rotation(phi) diag(m, 1/m)
-        m, phi = np.array([[mu * rng.uniform(1.0, 10.0), rng.uniform(-0.3, 0.3)] for _ in range(count)]).T
-        c, s = np.cos(phi), np.sin(phi)
+        mats = np.broadcast_to(np.diag([mu, 1.0 / mu]), (count, 2, 2))
+    elif mode == "hyperbolic":  # rotation(phi) diag(m, 1/m), m / mu and phi drawn in turn per block
+        m, phi = rng.uniform([1.0, -0.3], [10.0, 0.3], size=(count, 2)).T
+        m, c, s = mu * m, np.cos(phi), np.sin(phi)
         mats = np.moveaxis(np.array([[c * m, -s * (1.0 / m)], [s * m, c * (1.0 / m)]]), -1, 0)
     elif mode == "cocycle":
         if cfg.scheme is None:
@@ -546,7 +544,9 @@ TASKS = {
         Param("instances", int, 40, lo=1), _TOLERANCE,
     )),
     "spectrum": Task(_task_spectrum, True, (
-        Param("size", int, 64, lo=2, hi=_MAX_SITES), Param("a", int, 0), *_BOUNDARY,
+        Param("size", int, 64, lo=2, hi=_MAX_SITES),
+        # the window reads sites a - 1 .. a + size - 1, which must fit in int64
+        Param("a", int, 0, lo=1 - 2**63, hi=lambda v: 2**63 - v["size"]), *_BOUNDARY,
     )),
     "localize": Task(_task_localize, True, (
         Param("size", int, 128, lo=64, hi=_MAX_SITES), *_BOUNDARY, Param("rate_factor", default=0.5),

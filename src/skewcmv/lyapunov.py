@@ -96,31 +96,36 @@ PHASE_TILE = 1024
 ORBIT_CHUNK = 64
 
 
-def _u_values(s: VerblunskyScheme, z, n: int, phases: np.ndarray) -> np.ndarray:
-    """(1/n) log ||M_n|| per (z, phase), shaped as product_batch's log-scales."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    u = np.empty(np.shape(z) + (len(phases),))
+def _u_values(s: VerblunskyScheme, z, ns, phases: np.ndarray) -> np.ndarray:
+    """(1/n) log ||M_n|| per (n in ns, z, phase) from one pass: shape (len(ns),) + shape(z) + (S,).
+
+    The orbit is cut at every n in ns and every multiple of ORBIT_CHUNK below max(ns), one
+    product_batch call per piece, whose renormalized last step gives log ||M_n||.  A row is
+    bit-identical to its n alone when every smaller n in ns is a multiple of ORBIT_CHUNK.
+    """
+    if not len(ns) or min(ns) < 1:
+        raise ValueError(f"n must be >= 1, got {list(ns)}")
+    ends = sorted({*range(ORBIT_CHUNK, max(ns), ORBIT_CHUNK), *ns})
+    u = np.empty((len(ns),) + np.shape(z) + (len(phases),))
     for p0 in range(0, len(phases), PHASE_TILE):
         tile, carry = phases[p0 : p0 + PHASE_TILE], None
-        for j0 in range(0, n, ORBIT_CHUNK):
-            alphas = verblunsky_orbit_batch(s, min(ORBIT_CHUNK, n - j0), tile, start=j0)
-            carry = product_batch(alphas, z, carry=carry)
-        u[..., p0 : p0 + PHASE_TILE] = carry[0]
-    u /= n
+        for j0, end in zip([0, *ends], ends):
+            carry = product_batch(verblunsky_orbit_batch(s, end - j0, tile, start=j0), z, carry=carry)
+            if end in ns:
+                u[np.equal(ns, end), ..., p0 : p0 + PHASE_TILE] = carry[0] / end
     return u
+
+
+def _estimate(n: int, z, u: np.ndarray, cfg: SamplingConfig) -> LyapunovEstimate:
+    """The estimate of L_n(z) from its samples u: their mean and, in monte-carlo mode, its standard error."""
+    se = float(np.std(u, ddof=1) / np.sqrt(len(u))) if cfg.mode == "monte-carlo" and len(u) > 1 else 0.0
+    return LyapunovEstimate(n, complex(z), float(np.mean(u)), se, len(u), cfg.mode, cfg.rng_seed)
 
 
 def _estimates(s: VerblunskyScheme, zs, n: int, cfg: SamplingConfig) -> list:
     if np.ndim(zs) != 1 or len(zs) == 0:
         raise ValueError(f"z must be a scalar or a nonempty 1-D sequence, got shape {np.shape(zs)}")
-    out = []
-    for z, u in zip(zs, _u_values(s, zs, n, cfg.phases())):
-        mc = cfg.mode == "monte-carlo" and len(u) > 1
-        se = float(np.std(u, ddof=1) / np.sqrt(len(u))) if mc else 0.0
-        mean = float(np.mean(u))
-        out.append(LyapunovEstimate(n, complex(z), mean, se, len(u), cfg.mode, cfg.rng_seed))
-    return out
+    return [_estimate(n, z, u, cfg) for z, u in zip(zs, _u_values(s, zs, [n], cfg.phases())[0])]
 
 
 def estimate_Ln(s: VerblunskyScheme, z, n: int, cfg: SamplingConfig) -> LyapunovEstimate | list:
@@ -131,9 +136,7 @@ def estimate_Ln(s: VerblunskyScheme, z, n: int, cfg: SamplingConfig) -> Lyapunov
     estimate is bit-identical to the scalar call.  The scheme's own base phase
     is ignored: the estimate is a phase average.
     """
-    if np.ndim(z):
-        return _estimates(s, z, n, cfg)
-    return _estimates(s, [z], n, cfg)[0]
+    return _estimates(s, z, n, cfg) if np.ndim(z) else _estimates(s, [z], n, cfg)[0]
 
 
 def estimate_Ln_many(s: VerblunskyScheme, zs, n: int, cfg: SamplingConfig) -> list:
@@ -142,18 +145,21 @@ def estimate_Ln_many(s: VerblunskyScheme, zs, n: int, cfg: SamplingConfig) -> li
 
 
 def deviation_profile(
-    s: VerblunskyScheme, z: complex, n: int, thresholds, cfg: SamplingConfig
-) -> DeviationProfile:
-    """Fraction of sampled phases with |u_n - mean| above each threshold."""
+    s: VerblunskyScheme, z: complex, n, thresholds, cfg: SamplingConfig
+) -> DeviationProfile | list:
+    """Fraction of sampled phases with |u_n - mean| above each threshold; a sequence of n
+    gives a list of profiles, one per n, from one pass along the orbits."""
     thresholds = tuple(float(t) for t in thresholds)
     if any(t2 < t1 for t1, t2 in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be sorted ascending")
-    phases = cfg.phases()
-    u = _u_values(s, z, n, phases)
-    mean = float(np.mean(u))
-    dev = np.abs(u - mean)
-    measure = tuple(float(np.mean(dev > t)) for t in thresholds)
-    return DeviationProfile(n, complex(z), thresholds, measure, mean)
+    ns = n if np.ndim(n) else [n]
+    profiles = []
+    for m, u in zip(ns, _u_values(s, z, ns, cfg.phases())):
+        mean = float(np.mean(u))
+        dev = np.abs(u - mean)
+        measure = tuple(float(np.mean(dev > t)) for t in thresholds)
+        profiles.append(DeviationProfile(m, complex(z), thresholds, measure, mean))
+    return profiles if np.ndim(n) else profiles[0]
 
 
 @dataclass(frozen=True)
@@ -228,15 +234,12 @@ class MultiscaleResidual:
 def multiscale_residual(
     s: VerblunskyScheme, z: complex, n: int, N: int, cfg: SamplingConfig
 ) -> MultiscaleResidual:
-    """|L_N + L_n - 2 L_{2n}| from estimates at the three scales; requires N >= n^2."""
+    """|L_N + L_n - 2 L_{2n}| from estimates at the three scales, all from one pass; requires N >= n^2."""
     if N < n * n:
         raise ValueError(f"need N >= n^2, got n={n}, N={N}")
-    e_n = estimate_Ln(s, z, n, cfg)
-    e_2n = estimate_Ln(s, z, 2 * n, cfg)
-    e_N = estimate_Ln(s, z, N, cfg)
-    return MultiscaleResidual(
-        residual=abs(e_N.mean + e_n.mean - 2.0 * e_2n.mean), at_n=e_n, at_2n=e_2n, at_N=e_N
-    )
+    ns = (n, 2 * n, N)
+    e_n, e_2n, e_N = (_estimate(m, z, u, cfg) for m, u in zip(ns, _u_values(s, z, ns, cfg.phases())))
+    return MultiscaleResidual(abs(e_N.mean + e_n.mean - 2.0 * e_2n.mean), e_n, e_2n, e_N)
 
 
 @dataclass(frozen=True)
@@ -285,14 +288,13 @@ def uniform_bound_check(
     """Check sup over a phase grid of u_N against the reference L_{n0} + n0^{-sigma0}.
 
     The exponent sigma0 is configuration (the underlying uniform estimate only
-    asserts existence of one); the reference estimate reuses the same grid.
+    asserts existence of one); the reference estimate reuses the same grid and pass.
     """
     if N <= n0:
         raise ValueError("need N > n0")
     cfg = SamplingConfig(mode="grid", grid_side=phase_grid)
-    phases = cfg.phases()
-    u_N = _u_values(s, z, N, phases)
-    est0 = estimate_Ln(s, z, n0, cfg)
+    u_n0, u_N = _u_values(s, z, (n0, N), cfg.phases())
+    est0 = _estimate(n0, z, u_n0, cfg)
     reference = est0.mean + n0 ** (-sigma0)
     max_u = float(np.max(u_N))
     return UniformBoundReport(max_u, float(reference), bool(max_u < reference), est0)

@@ -329,8 +329,10 @@ def verblunsky_at(s: VerblunskyScheme, n: int) -> complex:
 
 
 def verblunsky_range(s: VerblunskyScheme, lo: int, hi: int) -> np.ndarray:
-    """Coefficients alpha_lo .. alpha_hi inclusive, as a complex array."""
-    return _coefficients(s, s.base.x, s.base.y, np.arange(lo, hi + 1))[:, 0]
+    """Coefficients alpha_lo .. alpha_hi inclusive, as a complex array; every site must fit in int64."""
+    if lo < -(2**63) or hi >= 2**63:
+        raise ValueError(f"sites {lo} .. {hi} lie outside int64")
+    return _coefficients(s, s.base.x, s.base.y, np.arange(lo, hi + 1, dtype=np.int64))[:, 0]
 
 
 def verblunsky_orbit_batch(

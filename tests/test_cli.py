@@ -13,7 +13,7 @@ import skewcmv.cli
 import skewcmv.localization
 import skewcmv.lyapunov
 from skewcmv.cli import TASKS, ConfigError, config_from_doc, main, run, run_sweep
-from skewcmv.cocycle import FactoredProduct, transfer_product
+from skewcmv.cocycle import FactoredProduct, product_batch, transfer_product
 from skewcmv.lyapunov import ORBIT_CHUNK, estimate_Ln
 from skewcmv.model import orbit_point, verblunsky_orbit_batch
 
@@ -101,7 +101,8 @@ class TestConfig:
          ("spectrum", "gamma", 2.5), ("localize", "beta", [0.0, 1.5]), ("spectrum", "beta", 1.0000000000000004),
          ("avalanche", "mu", 0), ("davis-simon", "max_size", 1e300),
          ("davis-simon", "max_size", 2**63 - 1), ("spectrum", "size", 200000),
-         ("lyapunov", "n", 2.7), ("lyapunov", "n", True), ("lyapunov", "z_circle", 2.5), ("lyapunov", "z", [True, 0])],
+         ("lyapunov", "n", 2.7), ("lyapunov", "n", True), ("lyapunov", "z_circle", 2.5), ("lyapunov", "z", [True, 0]),
+         ("spectrum", "a", -(2**63)), ("spectrum", "a", 2**63 - 1)],
     )
     def test_bad_param_exits_with_status_2(self, tmp_path, capsys, task, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -295,6 +296,12 @@ class TestTasks:
     def test_avalanche_out_of_range_exits_with_status_2(self, tmp_path, capsys, params, fragment):
         assert_exits_2(tmp_path, capsys, base_doc("avalanche", params), fragment)
 
+    @pytest.mark.parametrize("a", [1 - 2**63, 2**63 - 8])
+    def test_spectrum_window_at_the_int64_ends(self, a):
+        # an 8-site window reads sites a - 1 .. a + 7: here the first or the last of them is an end of int64
+        rows, failures, _ = run_doc(base_doc("spectrum", {"a": a, "size": 8}))
+        assert len(rows) == 8 and failures == 0
+
     def test_avalanche_nan_residual_is_a_failure(self, monkeypatch):
         nan_report = skewcmv.lyapunov.AvalancheReport(math.nan, 1e3, 0.0, True, 0.01)
         monkeypatch.setattr(skewcmv.cli, "avalanche_residual", lambda *args: nan_report)
@@ -358,6 +365,22 @@ class TestSharedOrbit:
         monkeypatch.setattr(skewcmv.lyapunov, "verblunsky_orbit_batch", counted)
         rows, _, _ = run_doc(base_doc("lyapunov", {"n": 600, "z_circle": 4}))
         assert len(rows) == 4 and calls == list(range(0, 600, ORBIT_CHUNK))
+
+    @pytest.mark.parametrize(
+        "task, params, steps",
+        [("ldt", {"n_list": [250, 500, 1000, 2000, 4000]}, 4000), ("multiscale", {}, 100), ("uniform-bound", {}, 500)],
+    )
+    def test_one_orbit_pass_per_task(self, monkeypatch, task, params, steps):
+        # every phase fits one tile, so each task walks its orbits once, up to its largest n
+        total = []
+
+        def counted(alphas, z, carry=None):
+            total.append(len(alphas))
+            return product_batch(alphas, z, carry=carry)
+
+        monkeypatch.setattr(skewcmv.lyapunov, "product_batch", counted)
+        run_doc(base_doc(task, params))
+        assert sum(total) == steps
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import compare_rows  # noqa: E402  (lives in tools/, next to the bench_pairs it imports)
+from skewcmv.cli import config_from_doc  # noqa: E402
 
 
 def write_rows(path: Path, rows: list) -> Path:
@@ -58,3 +59,26 @@ def test_merge_over_seeds_keeps_the_worst_move_and_sums_changes():
 def test_row_count_is_reported():
     r = compare_rows.compare_rows(BASE, BASE[:1])
     assert r["rows"] == [2, 1] and r["identical"] is False
+
+
+def test_tasks_group_covers_the_tasks_no_workload_runs():
+    calls = compare_rows.GROUPS["tasks"].calls(3)
+    assert [c.label for c in calls] == ["ldt", "multiscale", "uniform-bound", "positivity", "avalanche-cocycle"]
+    assert set(compare_rows.GROUPS) == set(compare_rows.workloads.WORKLOADS) | {"tasks"}
+    for call in calls:
+        doc = json.loads(json.dumps(call.doc))
+        doc["sampling"]["rng_seed"] = 3  # as the call's --seed sets it
+        cfg = config_from_doc(doc)
+        assert cfg.task == call.doc["task"] and cfg.sampling.rng_seed == 3
+
+
+def test_tasks_group_is_selectable(monkeypatch, capsys):
+    # one seed, no export and no CLI runs: each call reports an exit status of 1 on both sides
+    ran = []
+    monkeypatch.setattr(compare_rows, "SEEDS", range(1))
+    monkeypatch.setattr(compare_rows, "export_revision", lambda rev, root: rev)
+    monkeypatch.setattr(compare_rows, "run_call", lambda root, call, out, workdir, threads: ran.append(call.label) or 1)
+    assert compare_rows.main(["--base", "HEAD", "--workload", "tasks"]) == 0
+    labels = [c.label for c in compare_rows.GROUPS["tasks"].calls(0)]
+    assert ran == [label for label in labels for _side in ("base", "change")]
+    assert "tasks ldt seed 0: exit status 1 (base), 1 (change)" in capsys.readouterr().out

@@ -188,15 +188,35 @@ class TestTiles:
         rng = np.random.default_rng(seed)
         s = random_scheme(rng, max_coupling=0.95)
         n, phases = chunks * ORBIT_CHUNK + 1, rng.random((PHASE_TILE + 1, 2))
-        u = _u_values(s, np.array(zs), n, phases)
+        u = _u_values(s, np.array(zs), [n], phases)[0]
         alphas = verblunsky_orbit_batch(s, n, phases)
         # fold_reference takes ~60 us a step, so it checks the tile edges and a few drawn phases
         checked = [0, PHASE_TILE - 1, PHASE_TILE] + data.draw(st.lists(st.integers(0, PHASE_TILE), max_size=3))
         for i, z in enumerate(zs):
-            assert np.array_equal(u[i], _u_values(s, z, n, phases))
+            assert np.array_equal(u[i], _u_values(s, z, [n], phases)[0])
             assert np.all(np.abs(n * u[i] - product_batch(alphas, z)[0]) <= 1e-12 * n)
             for p in checked:
                 assert abs(n * u[i, p] - fold_reference(alphas[:, p], z).log_scale) <= 1e-12 * n
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ns=st.lists(st.integers(1, 4 * ORBIT_CHUNK + 3), min_size=1, max_size=5),
+        zs=st.lists(z_values, min_size=1, max_size=2),
+    )
+    def test_ladder_rows_match_each_n_alone(self, seed, ns, zs):
+        # ns unsorted, duplicates allowed; a smaller n off the chunk grid adds a cut below the row's n
+        rng = np.random.default_rng(seed)
+        s = random_scheme(rng, max_coupling=0.95)
+        phases = rng.random((5, 2))
+        u = _u_values(s, np.array(zs), ns, phases)
+        assert u.shape == (len(ns), len(zs), len(phases))
+        for row, n in zip(u, ns):
+            alone = _u_values(s, np.array(zs), [n], phases)[0]
+            if all(m % ORBIT_CHUNK == 0 for m in ns if m < n):
+                assert np.array_equal(row, alone)
+            else:
+                assert np.all(np.abs(row - alone) <= 1e-12)
 
 
 class TestDeviationProfile:
@@ -226,6 +246,14 @@ class TestDeviationProfile:
         s = make_scheme(TRIG, 0.9, 0.618)
         with pytest.raises(ValueError, match="n must be"):
             deviation_profile(s, 1.0, 0, [0.1], SamplingConfig(grid_side=2))
+
+    def test_sequence_of_n_equals_separate_calls(self):
+        s = make_scheme(TRIG, 0.9, 0.618)
+        cfg = SamplingConfig(mode="monte-carlo", sample_count=300, rng_seed=5)
+        ns, ts = [128, 64, 200, 64], [0.0, 0.02, 0.1]
+        profiles = deviation_profile(s, np.exp(0.4j), ns, ts, cfg)
+        assert profiles == [deviation_profile(s, np.exp(0.4j), n, ts, cfg) for n in ns]
+        assert deviation_profile(s, 1.0, (30,), ts, cfg) == [deviation_profile(s, 1.0, 30, ts, cfg)]
 
     def test_qualitative_decay_with_scale(self):
         s = make_scheme(TRIG, 0.95, (np.sqrt(5) - 1) / 2)

@@ -235,6 +235,14 @@ class TestOrbitKernel:
         wide = verblunsky_orbit_batch(s, n, [[0.25, 0.5], [s.base.x, s.base.y]], start=lo)[:, 1]
         assert np.array_equal(rng, wide)
 
+    def test_range_stays_in_int64(self):
+        s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.9, 0.3183098861)
+        for lo, hi in ((-(2**63), 2 - 2**63), (2**63 - 3, 2**63 - 1)):
+            assert np.array_equal(verblunsky_range(s, lo, hi), [verblunsky_at(s, j) for j in range(lo, hi + 1)])
+        for lo, hi in ((-(2**63) - 1, 0), (0, 2**63), (2**63 - 8, 2**63 + 8)):
+            with pytest.raises(ValueError, match="outside int64"):
+                verblunsky_range(s, lo, hi)
+
     def test_empty_sampler_gives_zeros(self):
         s = make_scheme({}, 0.5, 0.3)
         assert np.array_equal(verblunsky_orbit_batch(s, 3, [[0.1, 0.2]]), np.zeros((3, 1)))

@@ -3,8 +3,9 @@
     python3 tools/compare_rows.py --base REV [--workload NAME]
 
 The base revision is exported with `git archive`, as tools/bench_pairs.py does.
-Every call of every perfbench workload (perfbench/workloads.py) runs at seeds
-0-9 in both trees with `--format json`, each tree on its own sources.  Per call
+Every call of every perfbench workload (perfbench/workloads.py), and of the
+`tasks` group of the CLI tasks that no workload runs, runs at seeds 0-9 in both
+trees with `--format json`, each tree on its own sources.  Per call
 the report gives how many seeds wrote byte-identical rows, the largest move of
 each float field relative to max(1, |base|), and for every other field (integers
 such as `localized_flag`, strings) the number of rows whose value changed.  A
@@ -35,6 +36,27 @@ _spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "pe
 workloads = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = workloads  # its dataclasses look their module up
 _spec.loader.exec_module(workloads)
+
+
+def _task_calls(case: int) -> list:
+    """The CLI tasks that no benchmark workload runs, on the workloads' scheme of this case."""
+    scheme, plan = workloads._scheme_doc(case, 0.9), {"mode": "monte-carlo", "sample_count": 1024}
+    tasks = (
+        ("ldt", "ldt", {"n_list": [250, 500, 1000, 2000, 4000]}, plan),
+        ("multiscale", "multiscale", {}, plan),
+        ("uniform-bound", "uniform-bound", {}, {}),
+        ("positivity", "positivity", {}, plan),
+        ("avalanche-cocycle", "avalanche", {"mode": "cocycle"}, {}),
+    )
+    return [
+        workloads.Call(label, ("--seed", str(case)),
+                       {"task": task, "scheme": scheme, "params": params, "sampling": sampling}, exact=(), close=())
+        for label, task, params, sampling in tasks
+    ]
+
+
+# the benchmark's workloads, and the tasks group run on one thread
+GROUPS = dict(workloads.WORKLOADS, tasks=workloads.Workload("tasks", _task_calls, 1, False, ()))
 
 
 def compare_rows(base: list, change: list) -> dict:
@@ -89,16 +111,16 @@ def run_call(root: Path, call, out: Path, workdir: Path, threads: int) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), help="one workload (default: all)")
+    parser.add_argument("--workload", choices=sorted(GROUPS), help="one workload or the tasks group (default: all)")
     args = parser.parse_args(argv)
-    names = [args.workload] if args.workload else list(workloads.WORKLOADS)
+    names = [args.workload] if args.workload else list(GROUPS)
     with tempfile.TemporaryDirectory(prefix="compare-rows-") as tmp:
         tmp = Path(tmp)
         base_root = tmp / "base"
         sha = export_revision(args.base, base_root)
         print(f"base {sha}, change: working tree at {ROOT}")
         for name in names:
-            workload = workloads.WORKLOADS[name]
+            workload = GROUPS[name]
             per_call = {}
             for seed in SEEDS:
                 for k, call in enumerate(workload.calls(seed % workloads.CASES)):
