@@ -130,23 +130,23 @@ class DecayFit:
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray, keep: np.ndarray) -> tuple:
-    """Least-squares lines through the points (x[i], y[i, j]) with keep[i, j], one per column j.
+    """Least-squares lines through the points (x[i], y[j, i]) with keep[j, i], one per row j.
 
-    Returns (slope, intercept, r2) arrays over the columns, from the centred
-    closed form; r2 is 0 for a column whose kept y are constant.  Every column
+    Returns (slope, intercept, r2) arrays over the rows, from the centred
+    closed form; r2 is 0 for a row whose kept y are constant.  Every row
     needs two kept points with distinct x, and y must be finite where keep is
-    False.
+    False.  Each sum runs along a row, so a row's line does not depend on the
+    other rows.
     """
     w = keep.astype(float)
-    count = np.sum(w, axis=0)
-    x = x[:, None]
-    mx = np.sum(w * x, axis=0) / count
-    my = np.sum(w * y, axis=0) / count
-    dx, dy = w * (x - mx), w * (y - my)
-    slope = np.sum(dx * dy, axis=0) / np.sum(dx * dx, axis=0)
+    count = np.sum(w, axis=1)
+    mx = np.sum(w * x, axis=1) / count
+    my = np.sum(w * y, axis=1) / count
+    dx, dy = w * (x - mx[:, None]), w * (y - my[:, None])
+    slope = np.sum(dx * dy, axis=1) / np.sum(dx * dx, axis=1)
     intercept = my - slope * mx
-    ss_res = np.sum(w * (y - slope * x - intercept) ** 2, axis=0)
-    ss_tot = np.sum(dy * dy, axis=0)
+    ss_res = np.sum(w * (y - slope[:, None] * x - intercept[:, None]) ** 2, axis=1)
+    ss_tot = np.sum(dy * dy, axis=1)
     r2 = np.where(ss_tot > 0, 1.0 - ss_res / np.where(ss_tot > 0, ss_tot, 1.0), 0.0)
     return slope, intercept, r2
 
@@ -178,7 +178,7 @@ def green_decay_fit(g: GreenMatrix) -> DecayFit:
     keep = e > _ENVELOPE_FLOOR
     if np.count_nonzero(keep) < 3:
         return DecayFit(rate=0.0, intercept=0.0, r2=0.0)
-    slope, intercept, r2 = _line_fit(2.0 * m - 0.5, np.log(np.where(keep, e, 1.0))[:, None], keep[:, None])
+    slope, intercept, r2 = _line_fit(2.0 * m - 0.5, np.log(np.where(keep, e, 1.0))[None], keep[None])
     return DecayFit(rate=-float(slope[0]), intercept=float(intercept[0]), r2=float(r2[0]))
 
 

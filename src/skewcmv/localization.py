@@ -40,12 +40,13 @@ class EigenPair:
 
 # cos values of H = (E + E*)/2 closer than this many mean spacings (2/N) share a Ritz step
 _CLUSTER_SPACINGS = 0.3
-# columns per block when forming E V, which bounds the temporaries to N x 64
+# columns per block when forming E V and when fitting decay, which bounds the temporaries to N x 64
 _COLUMN_BLOCK = 64
-# shifts per _pencil_solve call: its work array takes 32 KiB per site, and fewer shifts
-# per call pay the per-row Python overhead more often (2048 sites on one core: 1.05 s
-# in calls of 256 shifts, 0.84 s in calls of 512, 0.88 s in one call of 2048)
-_LANE_BLOCK = 512
+# shifts per _pencil_solve call: its work array takes 16 KiB per site, 8.4 MiB at 512 sites,
+# and fewer shifts per call pay the per-row Python overhead more often (all shifts on one
+# core: at 512 sites 0.039-0.041 s in calls of 256, 0.032-0.039 s in calls of 512; at 2048
+# sites 0.69-0.90 s in calls of 256, 0.53-0.68 s in calls of 512, 0.47-0.62 s in one call)
+_LANE_BLOCK = 256
 # decay_fit drops envelope points below this fraction of the peak, the noise plateau of localized vectors
 _NOISE_FLOOR = 1e-14
 
@@ -105,12 +106,12 @@ def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
     m_diag, m_off = m_diag.conj(), m_off.conj()  # now of conj(M)
     shifts = _residuals(lm, V)[0]
     for j in range(0, n, _LANE_BLOCK):
-        cols = np.arange(j, min(j + _LANE_BLOCK, n))
-        y = _pencil_solve(l_diag, l_off, m_diag, m_off, shifts[cols], V[:, cols])
+        blk = V[:, j : j + _LANE_BLOCK]  # a view: the solve copies it, and the step writes back into V
+        y = _pencil_solve(l_diag, l_off, m_diag, m_off, shifts[j : j + _LANE_BLOCK], blk)
         solved = np.isfinite(y).all(axis=0)
-        y, cols = y[:, solved], cols[solved]
-        x = _tri_dot(m_diag, m_off, y)
-        V[:, cols] = x / np.linalg.norm(x, axis=0)
+        x = _tri_dot(m_diag, m_off, y[:, solved])
+        blk[:, solved] = x / np.linalg.norm(x, axis=0)
+        del y, x  # y views the work array: free it before the next block allocates its own
     return V
 
 
@@ -127,8 +128,10 @@ def _pencil_solve(a_diag, a_off, b_diag, b_off, shifts, rhs) -> np.ndarray:
     # W[i] = (T[i, i - 1], T[i, i], T[i, i + 1], rhs[i]); row i of U and its rhs replace it
     # in columns i .. i + 2 as the elimination passes, and two zero rows pad the back substitution
     W = np.zeros((n + 2, 4, len(shifts)), dtype=complex)
-    W[:n, 1] = a_diag[:, None] - b_diag[:, None] * shifts
-    W[1:n, 0] = W[: n - 1, 2] = a_off[:, None] - b_off[:, None] * shifts
+    for band, a, b in ((W[:n, 1], a_diag, b_diag), (W[1:n, 0], a_off, b_off)):  # a - b s, formed in place
+        np.multiply(b[:, None], shifts, out=band)
+        np.subtract(a[:, None], band, out=band)
+    W[: n - 1, 2] = W[1:n, 0]
     W[:n, 3] = rhs
     row = np.zeros((4, len(shifts)), dtype=complex)  # row i in columns i .. i + 2 (the last stays 0), then its rhs
     row[[0, 1, 3]] = W[0, 1:]
@@ -192,33 +195,48 @@ def decay_fit(v: np.ndarray):
     peak in blocks of 2 and the block maxima are fitted against the block
     centers.  Points below _NOISE_FLOOR (relative) are dropped.  Flat vectors
     (ipr < 2/size) return rate 0 with r2 0.  A matrix is read as column
-    vectors and gives a list with the fit of each column, all fitted at once.
+    vectors and gives a list with the fit of each column, fitted _COLUMN_BLOCK
+    columns at a time.  Each column is fitted as a contiguous row, so its fit is
+    bit-identical to the fit of that column alone.
     """
     v = np.asarray(v)
     size = len(v)
     if size < 32:
         raise ValueError("decay fit needs vectors of length >= 32")
-    mags = np.abs(v.reshape(size, -1))
-    mags /= np.max(mags, axis=0)
-    centers = np.argmax(mags, axis=0)
-    # env[b, j]: the largest mags[:, j] at distance 2b or 2b + 1 from its center, 0 where no site lies
+    columns = v.reshape(size, -1)
+    fits = []
+    for j in range(0, columns.shape[1], _COLUMN_BLOCK):
+        fits += _fit_rows(np.abs(columns[:, j : j + _COLUMN_BLOCK].T, order="C"))
+    return fits if v.ndim == 2 else fits[0]
+
+
+def _fit_rows(mags: np.ndarray) -> list:
+    """decay_fit of each row of mags, the magnitudes of one block of vectors; mags is overwritten."""
+    size = mags.shape[1]
+    mags /= np.max(mags, axis=1, keepdims=True)
+    centers = np.argmax(mags, axis=1)
+    # env[j, b]: the largest mags[j] at distance 2b or 2b + 1 from its center, 0 where no site lies
     n_buckets = (size + 1) // 2
-    padded = np.zeros((3 * size, mags.shape[1]))
-    padded[size : 2 * size] = mags
-    d = np.arange(2 * n_buckets)[:, None]
-    env = np.maximum(
-        np.take_along_axis(padded, size + centers + d, axis=0), np.take_along_axis(padded, size + centers - d, axis=0)
-    ).reshape(n_buckets, 2, -1).max(axis=1)
+    d = np.arange(2 * n_buckets)
+    env = np.maximum(_take_or_zero(mags, centers[:, None] + d), _take_or_zero(mags, centers[:, None] - d))
+    env = env.reshape(-1, n_buckets, 2).max(axis=2)
     keep = env > _NOISE_FLOOR
-    fitted = (np.sum(keep, axis=0) >= 3) & (inverse_participation_ratio(mags) >= 2.0 / size)
+    # mags.T has contiguous columns, so each of its column sums runs along one vector alone
+    fitted = (np.sum(keep, axis=1) >= 3) & (inverse_participation_ratio(mags.T) >= 2.0 / size)
     rates, r2s = np.zeros(len(centers)), np.zeros(len(centers))
     if fitted.any():
         xs = 2.0 * np.arange(n_buckets) + 0.5
-        ys = np.log(np.where(keep[:, fitted], env[:, fitted], 1.0))
-        slope, _, r2s[fitted] = _line_fit(xs, ys, keep[:, fitted])
+        ys = np.log(np.where(keep[fitted], env[fitted], 1.0))
+        slope, _, r2s[fitted] = _line_fit(xs, ys, keep[fitted])
         rates[fitted] = np.where(slope < 0, -slope, 0.0)
-    fits = [VectorDecayFit(center=int(c), rate=float(r), r2=float(q)) for c, r, q in zip(centers, rates, r2s)]
-    return fits if v.ndim == 2 else fits[0]
+    return [VectorDecayFit(center=int(c), rate=float(r), r2=float(q)) for c, r, q in zip(centers, rates, r2s)]
+
+
+def _take_or_zero(mags: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """mags[j, idx[j, i]] for every row j, and 0 where idx[j, i] lies outside the row."""
+    size = mags.shape[1]
+    inside = (idx >= 0) & (idx < size)
+    return np.where(inside, np.take_along_axis(mags, np.clip(idx, 0, size - 1), axis=1), 0.0)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import cmath
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,13 +72,17 @@ def _fixed(t) -> np.ndarray:
 
 
 def _steps(j) -> tuple:
-    """(j, C(j, 2)) as uint64, exact mod 2^64 for every int64 j.
+    """(j, C(j, 2)) as uint64, exact mod 2^64 for every int64 j; other sites raise ValueError.
 
     C(j,2) halves the even one of j, j-1 in int64 before the uint64 product, so
     negative j are exact too.
     """
     # arrays, not numpy scalars: scalar uint64 arithmetic warns when it wraps
-    j = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    j = np.atleast_1d(np.asarray(j))
+    # a float site would be truncated, and a uint64 one of 2^63 or more would wrap
+    if j.dtype.kind not in "iu" or (j.dtype.kind == "u" and j.size and j.max() >= 2**63):
+        raise ValueError(f"sites must be integers that fit in int64, got {j.dtype} sites")
+    j = j.astype(np.int64)
     odd = j & 1
     return j.astype(np.uint64), ((j - odd) >> 1).astype(np.uint64) * (j - 1 + odd).astype(np.uint64)
 
@@ -323,6 +328,26 @@ def skew_shift_orbit(p: Phase, w: Frequency, n: int) -> list:
     return [Phase(float(x), float(y)) for x, y in pts]
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; ValueError naming the field for anything that is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _site_range(lo, hi) -> np.ndarray:
+    """The sites lo .. hi inclusive as int64; ValueError unless both are integers and every site fits in int64.
+
+    `np.arange` would return floats for a stop past int64, and with an int64
+    dtype it truncates fractions and wraps past the end.
+    """
+    lo, hi = _integer("lo", lo), _integer("hi", hi)
+    if lo < -(2**63) or hi >= 2**63:
+        raise ValueError(f"sites {lo} .. {hi} lie outside int64")
+    return np.arange(lo, hi + 1, dtype=np.int64)
+
+
 def verblunsky_at(s: VerblunskyScheme, n: int) -> complex:
     """alpha_n = coupling * sampler(T^n(base)); |result| < 1 by the construction bound."""
     return complex(_coefficients(s, s.base.x, s.base.y, n)[0, 0])
@@ -330,9 +355,7 @@ def verblunsky_at(s: VerblunskyScheme, n: int) -> complex:
 
 def verblunsky_range(s: VerblunskyScheme, lo: int, hi: int) -> np.ndarray:
     """Coefficients alpha_lo .. alpha_hi inclusive, as a complex array; every site must fit in int64."""
-    if lo < -(2**63) or hi >= 2**63:
-        raise ValueError(f"sites {lo} .. {hi} lie outside int64")
-    return _coefficients(s, s.base.x, s.base.y, np.arange(lo, hi + 1, dtype=np.int64))[:, 0]
+    return _coefficients(s, s.base.x, s.base.y, _site_range(lo, hi))[:, 0]
 
 
 def verblunsky_orbit_batch(
@@ -342,9 +365,11 @@ def verblunsky_orbit_batch(
 
     `phases` has shape (S, 2); the result has shape (n, S).  This is the sampling
     kernel behind the Lyapunov estimators: the scheme's own base phase is ignored.
+    A fractional start or n, or a site outside int64, raises ValueError.
     """
     phases = np.atleast_2d(np.asarray(phases, dtype=float))
-    return _coefficients(s, phases[:, 0], phases[:, 1], np.arange(start, start + n))
+    start = _integer("start", start)
+    return _coefficients(s, phases[:, 0], phases[:, 1], _site_range(start, start + _integer("n", n) - 1))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -355,6 +356,27 @@ class TestDecayFit:
             assert fit.center == center
             assert abs(fit.rate - rate) <= 1e-12 and abs(fit.r2 - r2) <= 1e-12, k
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(32, 96),
+        columns=st.integers(1, 3 * localization._COLUMN_BLOCK + 5),
+    )
+    @example(seed=0, size=33, columns=1)
+    @example(seed=1, size=64, columns=localization._COLUMN_BLOCK + 1)
+    @example(seed=2, size=96, columns=3 * localization._COLUMN_BLOCK + 5)
+    def test_column_blocks_match_single_columns(self, seed, size, columns):
+        # a column's fit is bit-identical whatever block it falls in and whatever its neighbours
+        rng = np.random.default_rng(seed)
+        sites = np.arange(size)[:, None]
+        centers, rates = rng.integers(size, size=columns), rng.uniform(0.0, 0.6, size=columns)
+        noise = 0.3 * rng.normal(size=(size, columns)) + 2j * np.pi * rng.random((size, columns))
+        V = np.exp(-rates * np.abs(sites - centers) + noise) * (1.0 - rng.uniform(0, 0.9, columns) * (sites % 2))
+        fits = decay_fit(V)
+        assert len(fits) == columns
+        for k, fit in enumerate(fits):
+            assert decay_fit(V[:, k]) == fit, k
+
     def test_short_vector_rejected(self):
         with pytest.raises(ValueError):
             decay_fit(np.ones(16))
@@ -364,6 +386,37 @@ class TestDecayFit:
         e = np.zeros(50)
         e[3] = 1.0
         assert inverse_participation_ratio(e) == pytest.approx(1.0)
+
+
+class TestMemory:
+    @staticmethod
+    def traced(f, *args) -> tuple:
+        """(peak, held) bytes that tracemalloc sees: the peak while f(*args) runs, and what its result holds."""
+        tracemalloc.start()
+        try:
+            result = f(*args)
+            current, peak = tracemalloc.get_traced_memory()  # result is still held, so current counts it
+            del result
+            return peak, current
+        finally:
+            tracemalloc.stop()
+
+    def test_decay_fit_memory_independent_of_column_count(self):
+        # columns are fitted _COLUMN_BLOCK at a time: only the output list grows with their count
+        n = 512
+        rng = np.random.default_rng(3)
+        sites = np.arange(n)[:, None]
+        V = np.exp(-rng.uniform(0.02, 0.6, n) * np.abs(sites - rng.integers(n, size=n)) + 2j * np.pi * rng.random((n, n)))
+        (narrow, narrow_out), (wide, wide_out) = self.traced(decay_fit, V[:, :64]), self.traced(decay_fit, V)
+        assert wide - narrow <= 2**20 + (wide_out - narrow_out), (narrow, wide)
+
+    def test_window_spectrum_peak(self):
+        # 18.4 MiB traced at 512 sites: V (4 MiB) and one lane block's solve, its work array (8.4 MiB)
+        # and three n x 256 arrays; eigh's LAPACK workspace is not traced.  Keeping the last block's
+        # work array through the next solve reads 24.2 MiB
+        w = assemble_window(make_scheme(TRIG, 0.9, GOLDEN), (0, 511), BoundaryPair(1.0, 1.0))
+        peak, _ = self.traced(window_spectrum, w)
+        assert peak <= 20 * 2**20, peak
 
 
 class TestLocalizationScan:

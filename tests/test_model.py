@@ -243,6 +243,33 @@ class TestOrbitKernel:
             with pytest.raises(ValueError, match="outside int64"):
                 verblunsky_range(s, lo, hi)
 
+    def test_fractional_site_raises(self):
+        # int64 casts would truncate 1.5 to 1 and run the wrong site
+        s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.9, 0.3183098861)
+        phases = [[s.base.x, s.base.y]]
+        calls = (
+            lambda: verblunsky_at(s, 1.5),
+            lambda: orbit_points(s.base, s.frequency, [0, 1.5]),
+            lambda: verblunsky_orbit_batch(s, 8, phases, start=1.5),
+            lambda: verblunsky_orbit_batch(s, 2.5, phases),
+            lambda: verblunsky_range(s, 0.5, 3),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="integer"):
+                call()
+
+    def test_batch_stays_in_int64(self):
+        # the stop 2^63 + 4 made np.arange return floats, cast back to -2^63 at every site
+        s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.9, 0.3183098861)
+        phases = [[s.base.x, s.base.y]]
+        with pytest.raises(ValueError, match="outside int64"):
+            verblunsky_orbit_batch(s, 8, phases, start=2**63 - 4)
+        with pytest.raises(ValueError, match="int64"):
+            orbit_points(s.base, s.frequency, [2**63])
+        last = verblunsky_orbit_batch(s, 8, phases, start=2**63 - 8)[:, 0]
+        assert np.array_equal(last, verblunsky_range(s, 2**63 - 8, 2**63 - 1))
+        assert len(set(last)) == 8
+
     def test_empty_sampler_gives_zeros(self):
         s = make_scheme({}, 0.5, 0.3)
         assert np.array_equal(verblunsky_orbit_batch(s, 3, [[0.1, 0.2]]), np.zeros((3, 1)))
