@@ -41,9 +41,12 @@ SL2R_CONJUGATOR = -(1.0 / (1.0 + 1.0j)) * np.array([[1.0, -1.0j], [1.0, 1.0j]], 
 
 # lanes of the (z, phase) grid multiplied together; bounds the kernel's temporaries
 LANE_BLOCK = 8192
-# log-growth allowed between renormalizations: spectral_norms_2x2 raises entries
-# to the fourth power, and 4 * 150 stays below the float64 exponent limit of 709
-RENORM_LOG = 150.0
+# steps between renormalizations, counted from a call's first step.  A lane grows by
+# less than 2 sqrt(2) a step, so by a log-growth below 67 over 64 steps, and
+# spectral_norms_2x2 raises entries to the fourth power: 4 * 67 stays below the float64
+# exponent limit of 709.  The cadence does not depend on the alphas, so a stream cut at
+# multiples of RENORM_STEPS rounds as one call over the whole orbit does
+RENORM_STEPS = 64
 # sl2r_conjugate rejects a matrix whose conjugate keeps an imaginary part this large
 _CONJUGATION_TOL = 1e-6
 # the strip widths h1 = h2 of scaling_factor's coefficient bound: chosen, not derived, and conservative
@@ -144,8 +147,11 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     1/sqrt z).  Lanes multiply A D / 2^e, 2^e the power of two nearest ||D|| =
     exp(|log|z||/2) (an exact scaling); log(1/rho) and e log 2 are summed apart.  A lane
     so grows by at most sqrt(2) (1 + max|alpha|) per step, whatever z is, and its norm
-    is refactored every k = floor(RENORM_LOG / log(sqrt(2) (1 + max|alpha|))) steps and
-    at the last: one k per call, so a z's row is bit-identical alone or in a batch.
+    is refactored every RENORM_STEPS steps and at the last.  A z's row is bit-identical
+    alone or in a batch, and a carry continued from cuts at multiples of RENORM_STEPS
+    has the lanes of one call over all the steps: a hyperbolic product that grows and
+    then shrinks amplifies a rounding by up to its lost growth, so a renormalization
+    anywhere else could move log_scale far more than one rounding.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
     n, S = alphas.shape
@@ -161,7 +167,6 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     e = np.round(0.5 * np.abs(np.log2(np.abs(np.reshape(z, -1)))))  # ||D|| ~ 2^e; e = 0 for 1/2 < |z| < 2
     ls += n * np.log(2.0) * e[:, None] - np.log(np.sqrt(1.0 - a2)).sum(axis=0)
     zt, zb = sz * 2.0**-e, (1.0 / sz) * 2.0**-e
-    k = max(1, min(n, int(RENORM_LOG / np.log(np.sqrt(2.0) * (1.0 + amax)))))
     rows = max(1, LANE_BLOCK // S)
     for r in range(0, len(sz), rows):
         b = slice(r, r + rows)
@@ -172,7 +177,7 @@ def product_batch(alphas: np.ndarray, z, carry=None):
             t = alphas[j] * top
             top -= alphas[j].conj() * bot
             bot -= t
-            if (j + 1) % k == 0 or j == n - 1:
+            if (j + 1) % RENORM_STEPS == 0 or j == n - 1:
                 s = spectral_norms_2x2(np.moveaxis(Xb, (0, 1), (2, 3)))
                 Xb *= 1.0 / s
                 ls[b] += np.log(s)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import FactoredProduct, product_batch, spectral_norms_2x2
+from .cocycle import RENORM_STEPS, FactoredProduct, product_batch, spectral_norms_2x2
 from .model import VerblunskyScheme, verblunsky_orbit_batch
 
 __all__ = [
@@ -91,9 +91,11 @@ class DeviationProfile:
 
 
 # phases per tile and orbit steps per product call: beyond the (Z, S) output the
-# working set is O(Z PHASE_TILE + ORBIT_CHUNK PHASE_TILE), whatever n and S are
+# working set is O(Z PHASE_TILE + ORBIT_CHUNK PHASE_TILE), whatever n and S are.  A
+# chunk is one renormalization interval, so the chunked stream renormalizes where one
+# product_batch call over the whole orbit would
 PHASE_TILE = 1024
-ORBIT_CHUNK = 64
+ORBIT_CHUNK = RENORM_STEPS
 
 
 def _u_values(s: VerblunskyScheme, z, ns, phases: np.ndarray) -> np.ndarray:
@@ -101,7 +103,8 @@ def _u_values(s: VerblunskyScheme, z, ns, phases: np.ndarray) -> np.ndarray:
 
     The orbit is cut at every n in ns and every multiple of ORBIT_CHUNK below max(ns), one
     product_batch call per piece, whose renormalized last step gives log ||M_n||.  A row is
-    bit-identical to its n alone when every smaller n in ns is a multiple of ORBIT_CHUNK.
+    bit-identical to its n alone when every smaller n in ns is a multiple of ORBIT_CHUNK,
+    and its products are then those of one product_batch call over the n steps.
     """
     if not len(ns) or min(ns) < 1:
         raise ValueError(f"n must be >= 1, got {list(ns)}")

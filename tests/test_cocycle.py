@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from skewcmv.cocycle import (
     LANE_BLOCK,
+    RENORM_STEPS,
     SL2R_CONJUGATOR,
     CocycleError,
     ConjugationError,
@@ -181,6 +182,28 @@ class TestStreamedKernel:
         got = FactoredProduct(B[0], float(ls[0]))
         assert abs(got.log_scale - ref.log_scale) <= 1e-12 * n
         assert got.distance(ref) < 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3 * RENORM_STEPS + 5), z=z_values, data=st.data())
+    def test_cuts_on_the_renorm_cadence_match_one_call(self, seed, n, z, data):
+        rng = np.random.default_rng(seed)
+        alphas = verblunsky_orbit_batch(random_scheme(rng, max_coupling=0.95), n, rng.random((64, 2)))
+        cuts = data.draw(st.lists(st.integers(0, n // RENORM_STEPS).map(lambda c: c * RENORM_STEPS), max_size=3))
+        ls, B = streamed(alphas, z, cuts)
+        one = product_batch(alphas, z)
+        assert np.array_equal(B, one[1])
+        assert np.all(np.abs(ls - one[0]) <= 1e-13 * n)
+
+    def test_grow_then_shrink_product_streams_as_one_call(self):
+        # log ||M_j|| climbs to 55.7 at j = 113, then falls to 49.9 at n = 129: a rounding
+        # at j = 64 or 128 moves log ||M_n|| by ~2e-10 once it is amplified
+        rng = np.random.default_rng(428382)
+        s = random_scheme(rng, max_coupling=0.95)
+        n, z = 2 * RENORM_STEPS + 1, np.exp(0.5005991570963576j)
+        alphas = verblunsky_orbit_batch(s, n, rng.random((1025, 2))[900:901])
+        ls, B = streamed(alphas, z, [RENORM_STEPS, 2 * RENORM_STEPS])
+        one = product_batch(alphas, z)
+        assert np.array_equal(B, one[1]) and abs(ls[0] - one[0][0]) <= 1e-13 * n
 
     @settings(max_examples=6, deadline=None)
     @given(r=st.sampled_from([1 / 1.5, 1.5]), theta=st.floats(0.0, 2 * np.pi))
