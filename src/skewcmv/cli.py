@@ -314,9 +314,14 @@ def _task_avalanche(cfg: ExperimentConfig, rng, mode, count, mu, block, z):
     elif mode == "cocycle":
         if cfg.scheme is None:
             raise ConfigError("scheme: avalanche cocycle mode requires a scheme")
-        # lane j holds alpha_{j block} .. alpha_{(j + 1) block - 1}, so one call forms every block product
-        alphas = verblunsky_range(cfg.scheme, 0, count * block - 1).reshape(count, block).T
-        ls, mats = product_batch(alphas, z)
+        # lane j holds alpha_{j block} .. alpha_{(j + 1) block - 1}; the lanes are independent, so the
+        # blocks are formed a group of _AVALANCHE_GROUP // block at a time, each as one call would
+        ls, mats = np.empty(count), np.empty((count, 2, 2), dtype=complex)
+        group = max(1, _AVALANCHE_GROUP // block)
+        for j in range(0, count, group):
+            k = min(j + group, count)
+            alphas = verblunsky_range(cfg.scheme, j * block, k * block - 1).reshape(k - j, block).T
+            ls[j:k], mats[j:k] = product_batch(alphas, z)
         if ls.min() > 709.0:  # exp(709.8) is the largest float
             raise ConfigError("params.block: mu_floor = exp(min log-norm) overflows; reduce block length")
     rep = avalanche_residual(mats, ls)
@@ -504,10 +509,13 @@ _MAX_GRID_SIDE = 256
 _MAX_SAMPLES = _MAX_GRID_SIDE**2
 # the longest Diophantine scan: its arrays take about 80 bytes per n, 0.75 GiB at 10**7
 _MAX_HORIZON = 10**7
-# avalanche's cocycle mode holds count * block <= _MAX_AVALANCHE_STEPS coefficients at once;
-# its mu lies in [1 / _MAX_MU, _MAX_MU], as spectral_norms_2x2 raises entries to the fourth
-# power, so a block's norm, up to 10 max(mu, 1 / mu) in hyperbolic mode, must stay below 1e77
-_MAX_AVALANCHE_STEPS, _MAX_MU = 2**20, 1e76
+# avalanche's cocycle mode takes count * block <= _MAX_AVALANCHE_STEPS coefficients, at most
+# _AVALANCHE_GROUP of them at once (or one block), and holds the count blocks, 64 bytes each:
+# at count 2**20 and block 1 the blocks take 64 MiB and the run peaks at about 180 MiB, 58 MiB
+# of it the product tree's first level.  mu lies in [1 / _MAX_MU, _MAX_MU], as
+# spectral_norms_2x2 raises entries to the fourth power, so a block's norm, up to
+# 10 max(mu, 1 / mu) in hyperbolic mode, must stay below 1e77
+_MAX_AVALANCHE_STEPS, _AVALANCHE_GROUP, _MAX_MU = 2**20, 2**16, 1e76
 _TOLERANCE = Param("tolerance", default=1e-8)
 _BOUNDARY = (Param("beta", _boundary, [1.0, 0.0]), Param("gamma", _boundary, [1.0, 0.0]))
 

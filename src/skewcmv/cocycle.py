@@ -39,7 +39,12 @@ __all__ = [
 # unitary conjugator taking the cocycle matrices into SL(2, R)
 SL2R_CONJUGATOR = -(1.0 / (1.0 + 1.0j)) * np.array([[1.0, -1.0j], [1.0, 1.0j]], dtype=complex)
 
-# lanes of the (z, phase) grid multiplied together; bounds the kernel's temporaries
+# lanes of the (z, phase) grid multiplied together; bounds the kernel's temporaries.  It
+# splits z rows only, so a call over one z and more than LANE_BLOCK phases runs unsplit
+# (callers with long lane arrays, such as avalanche's cocycle mode, group them themselves).
+# _u_values on one core, best of 5, at LANE_BLOCK 8192 / untiled / 2048: Z = 512 z over
+# S = 144 phases at n = 128 (localize's references) 0.15 / 0.24 / 0.27 s; Z = 4, S = 1024,
+# n = 1000 (lyapunov-sweep) 0.14 / 0.13 / 0.18 s; Z = 64, S = 1024, n = 200 0.22 / 0.32 / 0.36 s
 LANE_BLOCK = 8192
 # steps between renormalizations, counted from a call's first step.  A lane grows by
 # less than 2 sqrt(2) a step, so by a log-growth below 67 over 64 steps, and

@@ -2,7 +2,8 @@
 
 The Green operator of a window is G = (z L* - M)^{-1} built from the window's
 factorization; since (z L* - M) = L* (z - E) this is the resolvent of the
-window followed by L.  Entry magnitudes factor into ratios of characteristic
+window followed by L; inverse iteration solves through the same pencil.
+Entry magnitudes factor into ratios of characteristic
 polynomials of sub-windows (the determinant identity is a unit-circle
 statement: it equates moduli of dual polynomial pairs, which agree only for
 |z| = 1).  Restricting a whole-line solution of E psi = z psi to a window
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv import CMVWindow, _dense, _diagonals, _lm_dot, _window_lm
+from .cmv import CMVWindow, _dense, _diagonals, _lm_dot, _tri_dot, _window_lm
 
 __all__ = [
     "SpectrumError",
@@ -79,6 +80,51 @@ def green_matrix(window: CMVWindow, z: complex) -> GreenMatrix:
     if residual > _RESIDUAL_TOL:
         raise SpectrumError(f"residual {residual:.3e} > {_RESIDUAL_TOL:.0e}; z too close to spectrum")
     return GreenMatrix(window, z, G, residual)
+
+
+def _pencil_solve(a_diag, a_off, b_diag, b_off, shifts, rhs) -> np.ndarray:
+    """Y with (A - s_k B) Y[:, k] = rhs[:, k] for every shift s_k; A and B are symmetric tridiagonal.
+
+    A and B are given by their diagonals (n) and off-diagonals (n - 1).  Every
+    lane k is eliminated at once with partial pivoting by rows, as LAPACK
+    `gtsv` does, so the Python loop runs over the n rows.  A lane whose system
+    has an exactly zero pivot, or whose solution overflows, comes back with
+    non-finite entries and no warning.
+    """
+    n = len(a_diag)
+    # W[i] = (T[i, i - 1], T[i, i], T[i, i + 1], rhs[i]); row i of U and its rhs replace it
+    # in columns i .. i + 2 as the elimination passes, and two zero rows pad the back substitution
+    W = np.zeros((n + 2, 4, len(shifts)), dtype=complex)
+    for band, a, b in ((W[:n, 1], a_diag, b_diag), (W[1:n, 0], a_off, b_off)):  # a - b s, formed in place
+        np.multiply(b[:, None], shifts, out=band)
+        np.subtract(a[:, None], band, out=band)
+    W[: n - 1, 2] = W[1:n, 0]
+    W[:n, 3] = rhs
+    row = np.zeros((4, len(shifts)), dtype=complex)  # row i in columns i .. i + 2 (the last stays 0), then its rhs
+    row[[0, 1, 3]] = W[0, 1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(n - 1):
+            nxt = W[i + 1]  # row i + 1 in columns i .. i + 2, then its rhs
+            swap = np.abs(row[0]) < np.abs(nxt[0])
+            pivot, other = np.where(swap, nxt, row), np.where(swap, row, nxt)
+            rest = other[1:] - (other[0] / pivot[0]) * pivot[1:]
+            W[i] = pivot
+            row[:2], row[3] = rest[:2], rest[2]
+        W[n - 1] = row
+        y = W[:, 3]
+        for i in range(n - 1, -1, -1):
+            y[i] = (y[i] - W[i, 1] * y[i + 1] - W[i, 2] * y[i + 2]) / W[i, 0]
+    return y[:n]
+
+
+def _resolvent_solve(lm: tuple, shifts, rhs) -> np.ndarray:
+    """(E - s_k)^{-1} rhs[:, k] = -G(s_k) conj(L) rhs[:, k] for every shift s_k, E unitary.
+
+    L is unitary and symmetric, so E - s = -L (s conj(L) - M); an exactly singular lane is non-finite.
+    """
+    l_diag, l_off, m_diag, m_off = lm
+    l_diag, l_off = l_diag.conj(), l_off.conj()
+    return _pencil_solve(m_diag, m_off, l_diag, l_off, shifts, _tri_dot(l_diag, l_off, rhs))
 
 
 def _logabs_charpoly(window: CMVWindow, lo: int, hi: int, z: complex) -> float:
@@ -167,12 +213,8 @@ def green_decay_fit(g: GreenMatrix) -> DecayFit:
         raise ValueError("decay fit needs window size >= 16")
     dmax = size // 2 - 2
     mags = np.abs(g.entries)
-    jj, kk = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    dist = np.abs(jj - kk).ravel()
-    vals = mags.ravel()
-    envelope = np.zeros(dmax + 1)
-    inside = dist <= dmax
-    np.maximum.at(envelope, dist[inside], vals[inside])
+    # envelope[d]: the largest |G(j, k)| with |j - k| = d, read off G's diagonals d and -d
+    envelope = np.array([max(np.diagonal(mags, d).max(), np.diagonal(mags, -d).max()) for d in range(dmax + 1)])
     m = np.arange(1, dmax // 2 + 1)
     e = np.maximum(envelope[2 * m - 1], envelope[2 * m])
     keep = e > _ENVELOPE_FLOOR

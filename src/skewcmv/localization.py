@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv import BoundaryPair, CMVWindow, _dense, _diagonals, _lm_dot, _tri_dot, assemble_window
-from .green import _line_fit
+from .cmv import BoundaryPair, CMVWindow, _dense, _diagonals, _lm_dot, assemble_window
+from .green import _line_fit, _resolvent_solve
 from .lyapunov import SamplingConfig, estimate_Ln_many
 from .model import VerblunskyScheme
 
@@ -42,7 +42,7 @@ class EigenPair:
 _CLUSTER_SPACINGS = 0.3
 # columns per block when forming E V and when fitting decay, which bounds the temporaries to N x 64
 _COLUMN_BLOCK = 64
-# shifts per _pencil_solve call: its work array takes 16 KiB per site, 8.4 MiB at 512 sites,
+# shifts per solve (green._pencil_solve): its work array takes 16 KiB per site, 8.4 MiB at 512 sites,
 # and fewer shifts per call pay the per-row Python overhead more often (all shifts on one
 # core: at 512 sites 0.039-0.041 s in calls of 256, 0.032-0.039 s in calls of 512; at 2048
 # sites 0.69-0.90 s in calls of 256, 0.53-0.68 s in calls of 512, 0.47-0.62 s in one call)
@@ -56,20 +56,18 @@ def window_spectrum(window: CMVWindow) -> list:
 
     Under a unimodular boundary E is unitary, hence normal, and every eigenvalue
     lies on the unit circle: those windows take the Hermitian route of
-    `_normal_eigvecs`, and each eigenvalue is the Rayleigh quotient v* E v.
-    Other windows are not normal and take dense `eig`.  The per-pair residual
-    ||E v - w v|| is recorded.
+    `_normal_eigvecs`; other windows are not normal and take dense `eig`'s vectors.
+    Each eigenvalue is the Rayleigh quotient v* E v, with residual ||E v - w v||.
     """
     try:
         if window.unimodular:
             V = _normal_eigvecs(window)
-            w = None
         else:
-            w, V = np.linalg.eig(window.matrix)
+            V = np.linalg.eig(window.matrix)[1]
             V /= np.linalg.norm(V, axis=0)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed on window [{window.a},{window.b}]: {exc}") from exc
-    w, resid = _residuals(window.lm, V, w)
+    w, resid = _residuals(window.lm, V)
     order = np.argsort(np.angle(w) % (2.0 * np.pi), kind="stable")
     return [EigenPair(complex(w[i]), V[:, i], float(resid[i])) for i in order]
 
@@ -87,10 +85,9 @@ def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
     leaves a floor of 1e-15 to 1e-14 on every site, far above the true tail of
     a localized vector, and decay fits read it as a plateau; the solve removes it.
 
-    The step uses E - s = (L - s M*) M with M unitary and symmetric, so M* = conj(M):
-    (L - s conj(M)) y = v is tridiagonal, and x = conj(M) y.  `_pencil_solve`
-    takes _LANE_BLOCK shifts per call.  A shift that makes the system exactly
-    singular is an eigenvalue to working precision, and its vector stays.
+    The step x = (E - s)^{-1} v = -G(s) conj(L) v solves through `green`'s pencil,
+    _LANE_BLOCK shifts per call.  A shift that makes the pencil exactly singular
+    is an eigenvalue to working precision, and its vector stays.
     """
     lm, n = window.lm, window.size
     d = _diagonals(lm)  # H[j + k, j] = (E[j + k, j] + conj(E[j, j + k])) / 2
@@ -102,70 +99,30 @@ def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
             # Y has unit columns and V[:, g] orthonormal ones, so V[:, g] Y stays unit
             _, Y = np.linalg.eig(V[:, g].conj().T @ _lm_dot(lm, V[:, g]))
             V[:, g] = V[:, g] @ Y
-    l_diag, l_off, m_diag, m_off = lm
-    m_diag, m_off = m_diag.conj(), m_off.conj()  # now of conj(M)
     shifts = _residuals(lm, V)[0]
     for j in range(0, n, _LANE_BLOCK):
-        blk = V[:, j : j + _LANE_BLOCK]  # a view: the solve copies it, and the step writes back into V
-        y = _pencil_solve(l_diag, l_off, m_diag, m_off, shifts[j : j + _LANE_BLOCK], blk)
-        solved = np.isfinite(y).all(axis=0)
-        x = _tri_dot(m_diag, m_off, y[:, solved])
+        blk = V[:, j : j + _LANE_BLOCK]  # a view, which the step writes back into
+        x = _resolvent_solve(lm, shifts[j : j + _LANE_BLOCK], blk)
+        solved = np.isfinite(x).all(axis=0)
+        x = x[:, solved]  # a copy: the solve's work array, which x viewed, is freed here
         blk[:, solved] = x / np.linalg.norm(x, axis=0)
-        del y, x  # y views the work array: free it before the next block allocates its own
+        del x  # before the next block allocates its own work array
     return V
 
 
-def _pencil_solve(a_diag, a_off, b_diag, b_off, shifts, rhs) -> np.ndarray:
-    """Y with (A - s_k B) Y[:, k] = rhs[:, k] for every shift s_k; A and B are symmetric tridiagonal.
+def _residuals(lm: tuple, V: np.ndarray) -> tuple:
+    """(w, ||E v - w v||) for the unit columns v of V, w the Rayleigh quotients v* E v.
 
-    A and B are given by their diagonals (n) and off-diagonals (n - 1).  Every
-    lane k is eliminated at once with partial pivoting by rows, as LAPACK
-    `gtsv` does, so the Python loop runs over the n rows.  A lane whose system
-    has an exactly zero pivot, or whose solution overflows, comes back with
-    non-finite entries and no warning.
-    """
-    n = len(a_diag)
-    # W[i] = (T[i, i - 1], T[i, i], T[i, i + 1], rhs[i]); row i of U and its rhs replace it
-    # in columns i .. i + 2 as the elimination passes, and two zero rows pad the back substitution
-    W = np.zeros((n + 2, 4, len(shifts)), dtype=complex)
-    for band, a, b in ((W[:n, 1], a_diag, b_diag), (W[1:n, 0], a_off, b_off)):  # a - b s, formed in place
-        np.multiply(b[:, None], shifts, out=band)
-        np.subtract(a[:, None], band, out=band)
-    W[: n - 1, 2] = W[1:n, 0]
-    W[:n, 3] = rhs
-    row = np.zeros((4, len(shifts)), dtype=complex)  # row i in columns i .. i + 2 (the last stays 0), then its rhs
-    row[[0, 1, 3]] = W[0, 1:]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(n - 1):
-            nxt = W[i + 1]  # row i + 1 in columns i .. i + 2, then its rhs
-            swap = np.abs(row[0]) < np.abs(nxt[0])
-            pivot, other = np.where(swap, nxt, row), np.where(swap, row, nxt)
-            rest = other[1:] - (other[0] / pivot[0]) * pivot[1:]
-            W[i] = pivot
-            row[:2], row[3] = rest[:2], rest[2]
-        W[n - 1] = row
-        y = W[:, 3]
-        for i in range(n - 1, -1, -1):
-            y[i] = (y[i] - W[i, 1] * y[i + 1] - W[i, 2] * y[i + 2]) / W[i, 0]
-    return y[:n]
-
-
-def _residuals(lm: tuple, V: np.ndarray, w: np.ndarray | None = None) -> tuple:
-    """(w, ||E v - w v||) for the unit columns v of V; w defaults to the Rayleigh quotients v* E v.
-
-    E V is formed as L (M V), from the window's `lm`, in column blocks.
+    For a unit v no scalar w gives a smaller residual than v* E v.  E V is formed
+    as L (M V), from the window's `lm`, in column blocks.
     """
     n = V.shape[1]
-    rayleigh = w is None
-    if rayleigh:
-        w = np.empty(n, dtype=complex)
-    resid = np.empty(n)
+    w, resid = np.empty(n, dtype=complex), np.empty(n)
     for j in range(0, n, _COLUMN_BLOCK):
         blk = slice(j, j + _COLUMN_BLOCK)
         v = V[:, blk]
         ev = _lm_dot(lm, v)
-        if rayleigh:
-            w[blk] = np.einsum("ij,ij->j", v.conj(), ev)
+        w[blk] = np.einsum("ij,ij->j", v.conj(), ev)
         resid[blk] = np.linalg.norm(ev - v * w[blk], axis=0)
     return w, resid
 

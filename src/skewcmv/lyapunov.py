@@ -96,6 +96,8 @@ class DeviationProfile:
 # product_batch call over the whole orbit would
 PHASE_TILE = 1024
 ORBIT_CHUNK = RENORM_STEPS
+# neighbouring pairs whose products avalanche_residual forms at once: 4 MiB of 2x2 blocks
+_PAIR_CHUNK = 2**16
 
 
 def _u_values(s: VerblunskyScheme, z, ns, phases: np.ndarray) -> np.ndarray:
@@ -188,15 +190,16 @@ def _product_tree(U: np.ndarray) -> FactoredProduct:
     """U[n-1] ... U[1] U[0] for a stack of 2x2 matrices, multiplied as a pairwise tree.
 
     The blocks have unit norm.  Each level is one batched product of neighbouring
-    blocks, renormalized to unit norm, and an odd block is carried up as it is;
-    every log norm taken off joins the product's log scale.
+    blocks, renormalized to unit norm in place, and an odd block is carried up as
+    it is; every log norm taken off joins the product's log scale.
     """
     P, log_scale = U, 0.0
     while len(P) > 1:
         m = len(P) - len(P) % 2
         prod = P[1:m:2] @ P[0:m:2]
         s = spectral_norms_2x2(prod)
-        P = np.concatenate([prod / s[:, None, None], P[m:]])
+        prod /= s[:, None, None]
+        P = np.concatenate([prod, P[m:]]) if m < len(P) else prod
         log_scale += float(np.sum(np.log(s)))
     return FactoredProduct(P[0], log_scale)
 
@@ -207,7 +210,8 @@ def avalanche_residual(matrices, log_scales=None) -> AvalancheReport:
     With `log_scales` the blocks come factored as product_batch gives them, A_j =
     exp(log_scales[j]) U_j with ||U_j|| = 1; raw blocks are divided by their norms.
     The log norms cancel exactly, so residual = |log||U_n...U_1|| - sum_j log||U_{j+1} U_j||
-    and gap = max_j -log||U_{j+1} U_j||.  A hypothesis violation only clears the flag.
+    and gap = max_j -log||U_{j+1} U_j||.  The pair products are formed _PAIR_CHUNK
+    at a time.  A hypothesis violation only clears the flag.
     """
     U = np.asarray(matrices, dtype=complex)
     n = len(U)
@@ -219,7 +223,11 @@ def avalanche_residual(matrices, log_scales=None) -> AvalancheReport:
     else:
         mu = float(np.exp(np.min(log_scales)))
     total = _product_tree(U)
-    pair_logs = np.log(spectral_norms_2x2(U[1:] @ U[:-1]))
+    later, earlier = U[1:], U[:-1]  # pair j is later[j] @ earlier[j]
+    pair_logs = np.concatenate([
+        np.log(spectral_norms_2x2(later[j : j + _PAIR_CHUNK] @ earlier[j : j + _PAIR_CHUNK]))
+        for j in range(0, n - 1, _PAIR_CHUNK)
+    ])
     residual = abs(total.log_scale - float(np.sum(pair_logs)))
     gap = float(np.max(0.0 - pair_logs))  # 0.0, not -0.0, when every pair is aligned
     ok = bool(mu >= n and gap <= 0.5 * np.min(log_scales))

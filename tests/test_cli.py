@@ -323,6 +323,13 @@ class TestTasks:
             ref = transfer_product(s, 30, z, base=np.array([start.x, start.y]))
             assert FactoredProduct(m, float(ls)).distance(ref) <= 1e-10
 
+    def test_avalanche_cocycle_groups_match_one_group(self, monkeypatch):
+        # groups of 64 // 30 = 2 blocks, the last one short: each block is formed as one call forms it
+        doc = base_doc("avalanche", {"mode": "cocycle", "count": 7, "block": 30})
+        whole = run_doc(doc)
+        monkeypatch.setattr(skewcmv.cli, "_AVALANCHE_GROUP", 64)
+        assert run_doc(doc) == whole
+
     def test_multiscale_task(self):
         doc = base_doc("multiscale", {"n": 6, "N": 36}, sampling={"mode": "grid", "grid_side": 6})
         rows, failures, _ = run_doc(doc)

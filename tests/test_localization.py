@@ -14,8 +14,8 @@ from scipy.optimize import linear_sum_assignment
 
 from skewcmv.cmv import BoundaryPair, assemble_window
 from skewcmv import localization
+from skewcmv.green import _pencil_solve, _resolvent_solve
 from skewcmv.localization import (
-    _pencil_solve,
     decay_fit,
     finite_size_drift,
     inverse_participation_ratio,
@@ -74,6 +74,17 @@ class TestWindowSpectrum:
         assert np.max(np.abs(mods - 1.0)) < 1e-8
         assert np.sum(mods) == pytest.approx(64.0, abs=1e-6)
         assert max(p.residual for p in pairs) < 1e-8
+
+    @pytest.mark.parametrize("beta,gamma,a", [(0.3 + 0.4j, 0.5, 0), (1.0, 0.0, 3), (0.9j, -0.2, -4)])
+    def test_non_unimodular_eigenvalues_are_rayleigh_quotients(self, beta, gamma, a):
+        s = make_scheme(TRIG, 0.9, GOLDEN, base=(0.23, 0.71))
+        w = assemble_window(s, (a, a + 63), BoundaryPair(beta, gamma))
+        pairs = window_spectrum(w)
+        assert multiset_gap([p.value for p in pairs], scipy.linalg.eigvals(w.matrix)) <= 1e-12
+        for p in pairs:
+            assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-14)
+            assert abs(p.value - p.vector.conj() @ w.matrix @ p.vector) <= 1e-14
+            assert p.residual == pytest.approx(np.linalg.norm(w.matrix @ p.vector - p.value * p.vector), abs=1e-14)
 
     def test_spectrum_invariant_under_sign_rephasing(self):
         s = make_scheme(TRIG, 0.85, GOLDEN, base=(0.4, 0.9))
@@ -228,33 +239,56 @@ class TestPencilSolve:
 
     def test_exactly_singular_shift_keeps_the_ritz_vector(self, monkeypatch):
         # at lambda = 0 the window is a signed permutation, and this one has the eigenvalue 1
-        # exactly: the shifted system has a zero pivot, and LAPACK's gbsv reported info > 0 here
+        # exactly: the pencil P(1) = conj(L) - M has a zero pivot
         w = assemble_window(make_scheme(TRIG, 0.0, GOLDEN), (0, 21), BoundaryPair(-1.0, 1.0))
-        l_diag, l_off, m_diag, m_off = w.lm
         rhs = np.ones((w.size, 2), dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = _pencil_solve(l_diag, l_off, m_diag.conj(), m_off.conj(), np.array([1.0, 1j]), rhs)
-            assert not np.isfinite(y[:, 0]).all()
-            assert np.isfinite(y[:, 1]).all()
+            x = _resolvent_solve(w.lm, np.array([1.0, 1j]), rhs)
+            assert not np.isfinite(x[:, 0]).all()
+            assert np.allclose((w.matrix - 1j * np.eye(w.size)) @ x[:, 1], rhs[:, 1], rtol=0.0, atol=1e-13)
 
-            shifts = {}
-            solve = localization._pencil_solve
+            seen = {}
+            solve = localization._resolvent_solve
 
-            def spy(*args):
-                shifts["ritz"] = args[5].copy()
-                shifts["shifts"] = args[4]
-                return solve(*args)
+            def spy(lm, shifts, block):
+                seen["ritz"], seen["shifts"] = block.copy(), shifts
+                return solve(lm, shifts, block)
 
-            monkeypatch.setattr(localization, "_pencil_solve", spy)
+            monkeypatch.setattr(localization, "_resolvent_solve", spy)
             pairs = window_spectrum(w)
-        at_one = np.flatnonzero(shifts["shifts"] == 1.0)
+        at_one = np.flatnonzero(seen["shifts"] == 1.0)
         assert len(at_one) == 1
-        ritz = shifts["ritz"][:, at_one[0]]
+        ritz = seen["ritz"][:, at_one[0]]
         (kept,) = [p for p in pairs if p.value == 1.0]
         assert np.array_equal(kept.vector, ritz)
         assert max(p.residual for p in pairs) <= 1e-12
         assert multiset_gap([p.value for p in pairs], scipy.linalg.eigvals(w.matrix)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 96),
+        a=st.integers(-6, 6),
+        lam=st.sampled_from([0.0, 0.5, 0.92]),
+        radii=st.lists(st.sampled_from([1.0, 0.5, 1.5]), min_size=1, max_size=6),
+    )
+    @example(seed=0, size=22, a=0, lam=0.0, radii=[1.0])  # lambda = 0: P(s) has zero interior diagonals
+    @example(seed=1, size=17, a=-3, lam=0.0, radii=[0.5, 1.5])
+    def test_resolvent_solve_is_the_dense_shifted_solve(self, seed, size, a, lam, radii):
+        """(E - s)^{-1} rhs through the Green pencil equals numpy's dense solve, shifts on and off the circle."""
+        rng = np.random.default_rng(seed)
+        beta, gamma = np.exp(2j * np.pi * rng.random(2))
+        w = assemble_window(random_scheme(rng, max_coupling=lam) if lam else make_scheme(TRIG, 0.0, GOLDEN),
+                            (a, a + size - 1), BoundaryPair(beta, gamma))
+        shifts = np.array(radii) * np.exp(2j * np.pi * rng.random(len(radii)))
+        rhs = rng.normal(size=(size, len(shifts))) + 1j * rng.normal(size=(size, len(shifts)))
+        systems = [w.matrix - s * np.eye(size) for s in shifts]
+        assume(all(np.linalg.cond(T) < 1e10 for T in systems))
+        x = _resolvent_solve(w.lm, shifts, rhs)
+        for k, T in enumerate(systems):
+            want = np.linalg.solve(T, rhs[:, k])
+            assert np.linalg.norm(x[:, k] - want) <= 1e-12 * np.linalg.cond(T) * np.linalg.norm(want)
 
 
 # the localize-scan benchmark's schemes for cases 3 and 7

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewcmv import lyapunov
 from skewcmv.cocycle import CocycleError, FactoredProduct, product_batch, scaling_factor, spectral_norms_2x2
 from skewcmv.lyapunov import (
     ORBIT_CHUNK,
@@ -322,6 +323,34 @@ class TestAvalanche:
         pair_sum = float(np.sum(np.log(spectral_norms_2x2(U[1:] @ U[:-1]))))
         old = abs(fold.log_scale - pair_sum)
         assert abs(avalanche_residual(U, np.zeros(count)).residual - old) <= 1e-12 * max(1.0, old)
+
+    def test_pair_chunks_and_tree_leave_the_blocks_and_match_one_pass(self, monkeypatch):
+        # 23 blocks in pair chunks of 5: the last chunk is short, and levels of 11 and 5 carry a block up
+        rng = np.random.default_rng(5)
+        U = rng.standard_normal((23, 2, 2)) + 1j * rng.standard_normal((23, 2, 2))
+        U /= spectral_norms_2x2(U)[:, None, None]
+        kept = U.copy()
+        whole = avalanche_residual(U, np.ones(23))
+        monkeypatch.setattr(lyapunov, "_PAIR_CHUNK", 5)
+        assert avalanche_residual(U, np.ones(23)) == whole
+        assert np.array_equal(U, kept)
+        pair_logs = np.log(spectral_norms_2x2(U[1:] @ U[:-1]))
+        assert whole.gap == float(np.max(0.0 - pair_logs))
+
+    def test_memory_within_the_blocks(self):
+        # the tree's first level and the pair chunks, not a copy of every block or every pair product
+        rng = np.random.default_rng(6)
+        U = rng.standard_normal((2**18, 2, 2)) + 1j * rng.standard_normal((2**18, 2, 2))
+        U /= spectral_norms_2x2(U)[:, None, None]
+        log_scales = np.ones(len(U))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            avalanche_residual(U, log_scales)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * U.nbytes, peak / U.nbytes
 
 
 class TestMultiscale:

@@ -47,6 +47,10 @@ def _task_calls(case: int) -> list:
         ("uniform-bound", "uniform-bound", {}, {}),
         ("positivity", "positivity", {}, plan),
         ("avalanche-cocycle", "avalanche", {"mode": "cocycle"}, {}),
+        # eigenvalues of a window that is not normal, taken as Rayleigh quotients
+        ("spectrum-nonunimodular", "spectrum", {"size": 64, "beta": [0.3, 0.4], "gamma": [0.5, 0.0]}, {}),
+        # 2**17 pairs, two of avalanche_residual's pair chunks, and an odd count that carries a block up the tree
+        ("avalanche-hyperbolic", "avalanche", {"mode": "hyperbolic", "count": 2**17 + 1, "block": 1}, {}),
     )
     return [
         workloads.Call(label, ("--seed", str(case)),
