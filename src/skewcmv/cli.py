@@ -531,7 +531,10 @@ TASKS = {
     "avalanche": Task(_task_avalanche, False, (
         Param("mode", _text, "hyperbolic", choices=("diagonal", "hyperbolic", "cocycle")),
         Param("count", int, 50, lo=3, hi=_MAX_AVALANCHE_STEPS), Param("mu", _positive, 1e3, lo=1 / _MAX_MU, hi=_MAX_MU),
-        Param("block", int, 40, lo=1, hi=lambda v: _MAX_AVALANCHE_STEPS // v["count"]), _Z,
+        # only cocycle mode reads block
+        Param("block", int, 40, lo=1,
+              hi=lambda v: _MAX_AVALANCHE_STEPS // v["count"] if v["mode"] == "cocycle" else None),
+        _Z,
     )),
     "multiscale": Task(_task_multiscale, True, (
         Param("n", int, 10, lo=1), Param("N", int, 100, lo=lambda v: v["n"] * v["n"]), _Z,

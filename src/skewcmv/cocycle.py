@@ -42,9 +42,10 @@ SL2R_CONJUGATOR = -(1.0 / (1.0 + 1.0j)) * np.array([[1.0, -1.0j], [1.0, 1.0j]], 
 # lanes of the (z, phase) grid multiplied together; bounds the kernel's temporaries.  It
 # splits z rows only, so a call over one z and more than LANE_BLOCK phases runs unsplit
 # (callers with long lane arrays, such as avalanche's cocycle mode, group them themselves).
-# _u_values on one core, best of 5, at LANE_BLOCK 8192 / untiled / 2048: Z = 512 z over
-# S = 144 phases at n = 128 (localize's references) 0.15 / 0.24 / 0.27 s; Z = 4, S = 1024,
-# n = 1000 (lyapunov-sweep) 0.14 / 0.13 / 0.18 s; Z = 64, S = 1024, n = 200 0.22 / 0.32 / 0.36 s
+# _u_values on one core, best of 5, with every row on the two-column step, at LANE_BLOCK
+# 8192 / untiled / 2048: Z = 512 z over S = 144 phases at n = 128 (localize's references)
+# 0.15 / 0.24 / 0.27 s; Z = 4, S = 1024, n = 1000 (lyapunov-sweep) 0.14 / 0.13 / 0.18 s;
+# Z = 64, S = 1024, n = 200 0.22 / 0.32 / 0.36 s
 LANE_BLOCK = 8192
 # steps between renormalizations, counted from a call's first step.  A lane grows by
 # less than 2 sqrt(2) a step, so by a log-growth below 67 over 64 steps, and
@@ -52,6 +53,9 @@ LANE_BLOCK = 8192
 # exponent limit of 709.  The cadence does not depend on the alphas, so a stream cut at
 # multiples of RENORM_STEPS rounds as one call over the whole orbit does
 RENORM_STEPS = 64
+# rows with ||z| - 1| at most this take the one-column circle step: exp(i theta) and the
+# w / |w| of a unit-circle eigenvalue lie within 2 eps of the circle
+_CIRCLE_TOL = 4 * np.finfo(float).eps
 # sl2r_conjugate rejects a matrix whose conjugate keeps an imaginary part this large
 _CONJUGATION_TOL = 1e-6
 # the strip widths h1 = h2 of scaling_factor's coefficient bound: chosen, not derived, and conservative
@@ -157,10 +161,18 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     has the lanes of one call over all the steps: a hyperbolic product that grows and
     then shrinks amplifies a rounding by up to its lost growth, so a renormalization
     anywhere else could move log_scale far more than one rounding.
+
+    On the unit circle A D has the form [[p, q], [conj q, conj p]], and so has every
+    product of such factors: it is fixed by its first column (a, d), and its norm is
+    |a| + |d|.  A row with ||z| - 1| <= _CIRCLE_TOL whose lanes all have exactly that
+    form (a fresh product has) carries (a, d) alone, steps by sqrt z / |sqrt z|, and
+    rebuilds B from it at the end of the call.  Other rows, off the circle or carried
+    from a product that is not of that form, multiply both columns.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
     n, S = alphas.shape
-    sz = circle_sqrt(np.reshape(z, -1))
+    zs = np.reshape(z, -1)
+    sz = circle_sqrt(zs)
     a2 = alphas.real**2 + alphas.imag**2
     amax = float(np.sqrt(a2.max(initial=0.0)))
     if amax >= 1.0:
@@ -169,25 +181,69 @@ def product_batch(alphas: np.ndarray, z, carry=None):
         ls, X = np.zeros((len(sz), S)), np.multiply.outer(np.eye(2, dtype=complex), np.ones((len(sz), S)))
     else:  # the carry's own arrays, continued in place
         ls, X = np.reshape(carry[0], (len(sz), S)), np.moveaxis(carry[1], (-2, -1), (0, 1)).reshape(2, 2, len(sz), S)
-    e = np.round(0.5 * np.abs(np.log2(np.abs(np.reshape(z, -1)))))  # ||D|| ~ 2^e; e = 0 for 1/2 < |z| < 2
+    e = np.round(0.5 * np.abs(np.log2(np.abs(zs))))  # ||D|| ~ 2^e; e = 0 for 1/2 < |z| < 2
     ls += n * np.log(2.0) * e[:, None] - np.log(np.sqrt(1.0 - a2)).sum(axis=0)
-    zt, zb = sz * 2.0**-e, (1.0 / sz) * 2.0**-e
-    rows = max(1, LANE_BLOCK // S)
-    for r in range(0, len(sz), rows):
-        b = slice(r, r + rows)
-        top, bot = Xb = X[:, :, b]
-        for j in range(n):
-            top *= zt[b, None]
-            bot *= zb[b, None]
-            t = alphas[j] * top
-            top -= alphas[j].conj() * bot
-            bot -= t
-            if (j + 1) % RENORM_STEPS == 0 or j == n - 1:
-                s = spectral_norms_2x2(np.moveaxis(Xb, (0, 1), (2, 3)))
-                Xb *= 1.0 / s
-                ls[b] += np.log(s)
+    on_circle = np.abs(np.abs(zs) - 1.0) <= _CIRCLE_TOL
+    su11 = (X[1, 1] == X[0, 0].conj()) & (X[0, 1] == X[1, 0].conj())  # [[a, conj d], [d, conj a]] exactly
+    one_column = on_circle & su11.all(axis=-1)
+    abar, rows = alphas.conj(), max(1, LANE_BLOCK // S)
+    two, one = np.flatnonzero(~one_column), np.flatnonzero(one_column)
+    # each kind of row is gathered into contiguous work arrays, a block of rows at a time
+    for r in range(0, len(two), rows):
+        i = two[r : r + rows]
+        Xb, lb = np.take(X, i, axis=2), ls[i]
+        _two_column_steps(Xb, lb, alphas, abar, sz[i] * 2.0 ** -e[i], (1.0 / sz[i]) * 2.0 ** -e[i])
+        X[:, :, i], ls[i] = Xb, lb
+    for r in range(0, len(one), rows):
+        i = one[r : r + rows]
+        if len(i) * S == 1:
+            # numpy multiplies a one-element array in place by an unfused scalar loop;
+            # a repeated lane keeps the row bit-identical to larger calls
+            i = np.repeat(i, 2)
+        V, lb = np.take(X[:, 0], i, axis=1), ls[i]
+        _one_column_steps(V, lb, alphas, abar, sz[i] / np.abs(sz[i]))
+        X[:, 0, i], X[:, 1, i], ls[i] = V, V[::-1].conj(), lb
     B = np.moveaxis(X, (0, 1), (2, 3))
     return (ls, B) if np.ndim(z) else (ls[0], B[0])
+
+
+def _two_column_steps(X: np.ndarray, ls: np.ndarray, alphas, abar, zt, zb) -> None:
+    """Multiply the (2, 2, R, S) lanes X in place by the n factors, rows scaled by zt and zb.
+
+    ls, of shape (R, S), gains the log norms taken off.
+    """
+    top, bot = X
+    for j in range(len(alphas)):
+        top *= zt[:, None]
+        bot *= zb[:, None]
+        t = alphas[j] * top
+        top -= abar[j] * bot
+        bot -= t
+        if (j + 1) % RENORM_STEPS == 0 or j == len(alphas) - 1:
+            s = spectral_norms_2x2(np.moveaxis(X, (0, 1), (2, 3)))
+            X *= 1.0 / s
+            ls += np.log(s)
+
+
+def _one_column_steps(V: np.ndarray, ls: np.ndarray, alphas, abar, c) -> None:
+    """Advance the first columns V = (a, d), of shape (2, R, S), in place by the n circle factors.
+
+    c holds the unit sqrt z of each row; ls, of shape (R, S), gains the log norms taken off.
+    """
+    a, d = V
+    cs = np.repeat(np.stack([c, c.conj()]), a.shape[1], axis=1).reshape(V.shape)  # full size: a broadcast is slower
+    t, u = np.empty_like(a), np.empty_like(a)
+    for j in range(len(alphas)):
+        V *= cs
+        np.multiply(alphas[j], a, out=t)
+        np.multiply(abar[j], d, out=u)
+        a -= u
+        d -= t
+        if (j + 1) % RENORM_STEPS == 0 or j == len(alphas) - 1:
+            s = np.abs(a)
+            s += np.abs(d)
+            V *= 1.0 / s
+            ls += np.log(s)
 
 
 def transfer_product(s: VerblunskyScheme, n: int, z: complex, base: np.ndarray | None = None) -> FactoredProduct:

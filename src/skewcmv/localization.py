@@ -230,7 +230,9 @@ def localization_scan(
     n_scale = scale or max(size // 4, 8)
     window = assemble_window(s, (0, size - 1), bc)
     pairs = window_spectrum(window)
-    ests = estimate_Ln_many(s, [p.value for p in pairs], n_scale, cfg)
+    # w / |w| lies within 2 eps of the circle, where the references carry one column
+    zs = [p.value / abs(p.value) if window.unimodular else p.value for p in pairs]
+    ests = estimate_Ln_many(s, zs, n_scale, cfg)
     vectors = np.column_stack([p.vector for p in pairs])
     fits = decay_fit(vectors)
     iprs = inverse_participation_ratio(vectors)

@@ -208,18 +208,22 @@ def avalanche_residual(matrices, log_scales=None) -> AvalancheReport:
     """Evaluate the pair-norm identity on a sequence of 2x2 unimodular matrices.
 
     With `log_scales` the blocks come factored as product_batch gives them, A_j =
-    exp(log_scales[j]) U_j with ||U_j|| = 1; raw blocks are divided by their norms.
+    exp(log_scales[j]) U_j with ||U_j|| = 1; raw blocks are divided by their norms, in
+    a copy that keeps their dtype, so real blocks are multiplied in real arithmetic.
     The log norms cancel exactly, so residual = |log||U_n...U_1|| - sum_j log||U_{j+1} U_j||
     and gap = max_j -log||U_{j+1} U_j||.  The pair products are formed _PAIR_CHUNK
     at a time.  A hypothesis violation only clears the flag.
     """
-    U = np.asarray(matrices, dtype=complex)
+    U = np.asarray(matrices)
+    # raw blocks are copied once, in their own float or complex dtype, and normalized in place
+    U = U.astype(np.result_type(U, float), copy=log_scales is None)
     n = len(U)
     if n < 3:
         raise ValueError("need at least 3 matrices")
     if log_scales is None:
         norms = spectral_norms_2x2(U)
-        U, log_scales, mu = U / norms[:, None, None], np.log(norms), float(np.min(norms))
+        U /= norms[:, None, None]
+        log_scales, mu = np.log(norms), float(np.min(norms))
     else:
         mu = float(np.exp(np.min(log_scales)))
     total = _product_tree(U)

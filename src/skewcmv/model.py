@@ -131,12 +131,14 @@ def _coefficients(s: "VerblunskyScheme", x, y, js) -> np.ndarray:
 
     The orbit kernel behind verblunsky_at, verblunsky_range and
     verblunsky_orbit_batch.  Phases are the exact uint64 ones of _orbit.
-    e^{2 pi i x_j} takes one cos/sin pair per point; e^{2 pi i y_j} is the outer
-    product e^{2 pi i y} e^{2 pi i j w}.  A term c e^{2 pi i (k x + l y)} is
-    c (e^{2 pi i x})^k (e^{2 pi i y})^l, with the coupling folded into c, and
+    e^{2 pi i x_j} is the product e^{2 pi i x} e^{2 pi i (j y + C(j,2) w)}, its
+    second factor taken once per site and distinct y of the call, so a grid
+    plan's phases, which share few y, need few cos/sin pairs; e^{2 pi i y_j} is
+    the outer product e^{2 pi i y} e^{2 pi i j w}.  A term c e^{2 pi i (k x + l y)}
+    is c (e^{2 pi i x})^k (e^{2 pi i y})^l, with the coupling folded into c, and
     the terms are accumulated in place.  Every value is computed elementwise by
-    the same operations, so a point's value is bit-identical whatever the other
-    points and phases of the call.
+    the same operations from its own point, so it is bit-identical whatever the
+    other points and phases of the call.
     """
     jj, tri = _steps(js)
     x, y = np.atleast_1d(x, y)
@@ -146,16 +148,21 @@ def _coefficients(s: "VerblunskyScheme", x, y, js) -> np.ndarray:
         # a repeated point keeps the value bit-identical to larger calls
         return _coefficients(s, x, y, np.repeat(jj.view(np.int64), 2))[:1]
     xu, yu, om = np.split(_fixed(np.concatenate([x, y, [s.frequency.omega]])), [S, 2 * S])
-    # one buffer, one cos/sin pass: x_j for every (j, phase), then y, then j w
-    u = np.empty(n * S + S + n, dtype=np.uint64)
-    phase = np.multiply.outer(jj, yu, out=u[: n * S].reshape(n, S))
-    phase += xu
-    phase += (tri * om)[:, None]
-    u[n * S : n * S + S] = yu
-    np.multiply(jj, om, out=u[n * S + S :])
+    # np.unique costs more than a short orbit of one phase, whose one y is its own distinct value
+    yd, which = np.unique(yu, return_inverse=True) if S > 1 else (yu, np.zeros(1, dtype=np.intp))
+    G = len(yd)
+    # one buffer, one cos/sin pass: j y + C(j,2) w for every (j, distinct y), then x, y and j w
+    u = np.empty(n * G + 2 * S + n, dtype=np.uint64)
+    shift = np.multiply.outer(jj, yd, out=u[: n * G].reshape(n, G))
+    shift += (tri * om)[:, None]
+    u[n * G : n * G + S] = xu
+    u[n * G + S : n * G + 2 * S] = yu
+    np.multiply(jj, om, out=u[n * G + 2 * S :])
     e = _unit(u)
-    del u, phase
-    ex, ey, ew = e[: n * S].reshape(n, S), e[n * S : n * S + S], e[n * S + S :]
+    del u, shift
+    ex = np.take(e[: n * G].reshape(n, G), which, axis=1)
+    ex *= e[n * G : n * G + S]
+    ey, ew = e[n * G + S : n * G + 2 * S], e[n * G + 2 * S :]
     out = term = np.zeros(ex.shape, dtype=complex)  # the first term is written straight into out
     for i, (k, l, c) in enumerate(s.sampler.terms):
         if i == 1:

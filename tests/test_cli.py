@@ -296,6 +296,14 @@ class TestTasks:
     def test_avalanche_out_of_range_exits_with_status_2(self, tmp_path, capsys, params, fragment):
         assert_exits_2(tmp_path, capsys, base_doc("avalanche", params), fragment)
 
+    def test_avalanche_hyperbolic_takes_a_count_beyond_the_block_cap(self, tmp_path):
+        # only cocycle mode reads block, so 2**20 // count caps it there alone: the default 40 is over 7 here
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.json"
+        cfg_path.write_text(json.dumps(base_doc("avalanche", {"mode": "hyperbolic", "count": 2**17 + 1})))
+        assert main(["--config", str(cfg_path), "--out", str(out), "--format", "json"]) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["count"] == 2**17 + 1 and math.isfinite(row["residual"])
+
     @pytest.mark.parametrize("a", [1 - 2**63, 2**63 - 8])
     def test_spectrum_window_at_the_int64_ends(self, a):
         # an 8-site window reads sites a - 1 .. a + 7: here the first or the last of them is an end of int64

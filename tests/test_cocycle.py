@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewcmv import cocycle
 from skewcmv.cocycle import (
     LANE_BLOCK,
     RENORM_STEPS,
@@ -253,6 +254,67 @@ class TestStreamedKernel:
     def test_rejects_boundary_coefficients(self):
         with pytest.raises(CocycleError):
             product_batch(np.array([[0.5, 1.0]]), 1.0)
+
+
+def su11_form(B) -> bool:
+    """Every lane of B has exactly the form [[a, conj d], [d, conj a]]."""
+    return np.array_equal(B[..., 1, 1], B[..., 0, 0].conj()) and np.array_equal(B[..., 0, 1], B[..., 1, 0].conj())
+
+
+class TestCircleStep:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), theta=st.floats(0.0, 2 * np.pi), data=st.data())
+    def test_circle_rows_match_the_fold(self, seed, n, theta, data):
+        rng = np.random.default_rng(seed)
+        s = random_scheme(rng, max_coupling=0.97)
+        z = np.exp(1j * theta)
+        alphas = verblunsky_orbit_batch(s, n, rng.random((3, 2)))
+        ls, B = streamed(alphas, z, data.draw(st.lists(st.integers(0, n), max_size=3)))
+        assert su11_form(B)  # the one-column step rebuilt B from its first column
+        for k in range(3):
+            ref = fold_reference(alphas[:, k], z)
+            got = FactoredProduct(B[k], float(ls[k]))
+            assert abs(got.log_scale - ref.log_scale) <= 1e-12 * n
+            assert got.distance(ref) < 1e-9
+
+    def test_off_circle_carry_takes_the_two_column_step(self, monkeypatch):
+        # row 0 continues a product taken at |z| = 1.3, row 1 one taken on the circle
+        rng = np.random.default_rng(11)
+        alphas = verblunsky_orbit_batch(random_scheme(rng, max_coupling=0.95), 150, rng.random((4, 2)))
+        z_off, z_on = 1.3 * np.exp(0.4j), np.exp(1.1j)
+        carry = product_batch(alphas[:70], np.array([z_off, z_on]))
+        assert not su11_form(carry[1][0]) and su11_form(carry[1][1])
+        rows, one_column = [], cocycle._one_column_steps  # the row count of each one-column block
+        monkeypatch.setattr(cocycle, "_one_column_steps", lambda V, *a: rows.append(V.shape[1]) or one_column(V, *a))
+        ls, B = product_batch(alphas[70:], np.array([z_on, z_on]), carry=carry)
+        assert rows == [1] and su11_form(B[1]) and not su11_form(B[0])
+        for i, z_first in enumerate((z_off, z_on)):
+            for k in range(4):
+                ref = fold_reference(alphas[70:, k], z_on).compose(fold_reference(alphas[:70, k], z_first))
+                got = FactoredProduct(B[i, k], float(ls[i, k]))
+                assert abs(got.log_scale - ref.log_scale) <= 1e-12 * 150
+                assert got.distance(ref) < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 2 * RENORM_STEPS + 3),
+        Z=st.integers(2, 5),
+        S=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_lone_lane_is_bit_identical_to_its_batch(self, seed, n, Z, S, data):
+        # numpy multiplies a one-element array in place by an unfused loop, so Z = S = 1 is its own case.
+        # A lane's B is elementwise; its log scale sums log rho down a column, which rounds as a
+        # contiguous column only when S = 1, so it is bit-identical across z rows, not across phases
+        rng = np.random.default_rng(seed)
+        alphas = 0.97 * np.sqrt(rng.random((n, S))) * np.exp(2j * np.pi * rng.random((n, S)))
+        zs = np.exp(2j * np.pi * rng.random(Z))
+        ls, B = product_batch(alphas, zs)
+        i, k = data.draw(st.integers(0, Z - 1)), data.draw(st.integers(0, S - 1))
+        one_ls, one_B = product_batch(alphas[:, k : k + 1], zs[i])
+        assert np.array_equal(one_B[0], B[i, k])
+        assert one_ls[0] == product_batch(alphas[:, k : k + 1], zs)[0][i, 0]
 
 
 class TestSL2RConjugation:

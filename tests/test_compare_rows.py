@@ -64,7 +64,7 @@ def test_row_count_is_reported():
 def test_tasks_group_covers_the_tasks_no_workload_runs():
     calls = compare_rows.GROUPS["tasks"].calls(3)
     assert [c.label for c in calls] == ["ldt", "multiscale", "uniform-bound", "positivity", "avalanche-cocycle",
-                                        "spectrum-nonunimodular", "avalanche-hyperbolic"]
+                                        "spectrum-nonunimodular", "avalanche-hyperbolic", "lyapunov-offcircle"]
     assert set(compare_rows.GROUPS) == set(compare_rows.workloads.WORKLOADS) | {"tasks"}
     for call in calls:
         doc = json.loads(json.dumps(call.doc))

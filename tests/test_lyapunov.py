@@ -352,6 +352,26 @@ class TestAvalanche:
             tracemalloc.stop()
         assert peak <= 1.2 * U.nbytes, peak / U.nbytes
 
+    def test_memory_of_raw_blocks_is_one_copy(self):
+        # hyperbolic-mode blocks: real, and a strided view, as the avalanche task forms them.  One
+        # normalized copy in their own dtype, and the norms; the parent held a complex copy and a
+        # normalized complex copy besides (4.6 times the blocks), this tree 2.9 times
+        rng = np.random.default_rng(6)
+        m, phi = rng.uniform([1e3, -0.3], [1e4, 0.3], size=(2**18, 2)).T
+        c, s = np.cos(phi), np.sin(phi)
+        blocks = np.moveaxis(np.array([[c * m, -s / m], [s * m, c / m]]), -1, 0)
+        kept = blocks.copy()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = avalanche_residual(blocks)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * blocks.nbytes, peak / blocks.nbytes
+        assert np.array_equal(blocks, kept)  # the caller's blocks are not normalized in place
+        assert rep.mu_floor == float(np.min(spectral_norms_2x2(kept)))
+
 
 class TestMultiscale:
     def test_zero_coupling_vanishes(self):

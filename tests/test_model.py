@@ -235,6 +235,25 @@ class TestOrbitKernel:
         wide = verblunsky_orbit_batch(s, n, [[0.25, 0.5], [s.base.x, s.base.y]], start=lo)[:, 1]
         assert np.array_equal(rng, wide)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0), min_size=1, max_size=4),
+        xs=st.lists(PHASE, min_size=1, max_size=6),
+        ys=st.lists(PHASE, min_size=1, max_size=3),
+        start=st.integers(-(10**9), 10**9),
+        n=st.integers(1, 40),
+    )
+    def test_phases_sharing_a_y_match_each_phase_alone(self, terms, xs, ys, start, n):
+        # a grid plan's phases share their y, and the x_j factor is taken once per site and distinct y
+        ell1 = sum(abs(c) for c in terms.values())
+        s = make_scheme({kl: c / ell1 for kl, c in terms.items()}, 0.9, 0.3183098861)
+        phases = [(x, ys[i % len(ys)]) for i, x in enumerate(xs)]
+        batch = verblunsky_orbit_batch(s, n, phases, start=start)
+        for col, p in enumerate(phases):
+            assert np.array_equal(batch[:, col], verblunsky_orbit_batch(s, n, [p], start=start)[:, 0])
+            assert np.array_equal(batch[:1, col], verblunsky_orbit_batch(s, 1, [p], start=start)[:, 0])
+
     def test_range_stays_in_int64(self):
         s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.9, 0.3183098861)
         for lo, hi in ((-(2**63), 2 - 2**63), (2**63 - 3, 2**63 - 1)):
