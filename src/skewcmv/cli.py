@@ -24,7 +24,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -34,7 +33,10 @@ from .cocycle import product_batch, scaling_factor, transfer_product, transfer_v
 from .green import davis_simon_gap, green_entry_via_polys, green_matrix, restriction_residual
 from .localization import localization_scan, window_spectrum
 from .lyapunov import (
+    PHASE_TILE,
     SamplingConfig,
+    _fork_map,
+    _phase_workers,
     avalanche_residual,
     deviation_profile,
     estimate_Ln,
@@ -303,14 +305,20 @@ def _task_ldt(cfg: ExperimentConfig, rng, z, n_list, thresholds, threshold_facto
     return rows, 0, f"profiles at n={n_list}"
 
 
+def _hyperbolic_blocks(rng, count: int, mu: float) -> np.ndarray:
+    """rotation(phi) diag(m, 1/m) per block, m / mu and phi drawn in turn per block; its
+    temporaries are freed when it returns, before avalanche_residual copies the blocks."""
+    m, phi = rng.uniform([1.0, -0.3], [10.0, 0.3], size=(count, 2)).T
+    m, c, s = mu * m, np.cos(phi), np.sin(phi)
+    return np.moveaxis(np.array([[c * m, -s * (1.0 / m)], [s * m, c * (1.0 / m)]]), -1, 0)
+
+
 def _task_avalanche(cfg: ExperimentConfig, rng, mode, count, mu, block, z):
     ls = None  # raw blocks, which avalanche_residual factors itself
     if mode == "diagonal":
         mats = np.broadcast_to(np.diag([mu, 1.0 / mu]), (count, 2, 2))
-    elif mode == "hyperbolic":  # rotation(phi) diag(m, 1/m), m / mu and phi drawn in turn per block
-        m, phi = rng.uniform([1.0, -0.3], [10.0, 0.3], size=(count, 2)).T
-        m, c, s = mu * m, np.cos(phi), np.sin(phi)
-        mats = np.moveaxis(np.array([[c * m, -s * (1.0 / m)], [s * m, c * (1.0 / m)]]), -1, 0)
+    elif mode == "hyperbolic":
+        mats = _hyperbolic_blocks(rng, count, mu)
     elif mode == "cocycle":
         if cfg.scheme is None:
             raise ConfigError("scheme: avalanche cocycle mode requires a scheme")
@@ -511,9 +519,9 @@ _MAX_SAMPLES = _MAX_GRID_SIDE**2
 _MAX_HORIZON = 10**7
 # avalanche's cocycle mode takes count * block <= _MAX_AVALANCHE_STEPS coefficients, at most
 # _AVALANCHE_GROUP of them at once (or one block), and holds the count blocks, 64 bytes each:
-# at count 2**20 and block 1 the blocks take 64 MiB and the run peaks at about 180 MiB, 58 MiB
-# of it the product tree's first level.  mu lies in [1 / _MAX_MU, _MAX_MU], as
-# spectral_norms_2x2 raises entries to the fourth power, so a block's norm, up to
+# at count 2**20 and block 1 the blocks take 64 MiB and the run peaks at about 172 MiB child
+# ru_maxrss (hyperbolic mode, whose real blocks take 32 MiB, at about 141 MiB).  mu lies in
+# [1 / _MAX_MU, _MAX_MU], as spectral_norms_2x2 raises entries to the fourth power, so a block's norm, up to
 # 10 max(mu, 1 / mu) in hyperbolic mode, must stay below 1e77
 _MAX_AVALANCHE_STEPS, _AVALANCHE_GROUP, _MAX_MU = 2**20, 2**16, 1e76
 _TOLERANCE = Param("tolerance", default=1e-8)
@@ -584,10 +592,12 @@ _OUTPUT = (Param("path", _text, "-"), Param("format", _text, "csv", choices=("cs
 _SCHEME_AXES = ("lambda", "omega")
 
 
-def run(cfg: ExperimentConfig):
-    """Execute one task; returns (rows, failures, summary). Rows carry the config hash."""
+def run(cfg: ExperimentConfig, threads: int = 1):
+    """Execute one task, its estimates' phases split over `threads` processes; returns
+    (rows, failures, summary). Rows carry the config hash."""
     rng = np.random.default_rng(cfg.sampling.rng_seed)
-    rows, failures, summary = TASKS[cfg.task].fn(cfg, rng, **cfg.values)
+    with _phase_workers(threads):
+        rows, failures, summary = TASKS[cfg.task].fn(cfg, rng, **cfg.values)
     h = cfg.config_hash
     for r in rows:
         r["config_hash"] = h
@@ -606,28 +616,37 @@ def _cell_doc(doc: dict, cell: tuple, seed: int) -> dict:
     return doc
 
 
+def _phases(cfg: ExperimentConfig) -> int:
+    """Phases in each of the task's estimates: uniform-bound's own grid, else the sampling plan's."""
+    if cfg.task == "uniform-bound":
+        return cfg.values["grid_side"] ** 2
+    if not TASKS[cfg.task].sampled:
+        return 0
+    return cfg.sampling.grid_side**2 if cfg.sampling.mode == "grid" else cfg.sampling.sample_count
+
+
 def run_sweep(doc: dict, axes: list, threads: int):
     """Cartesian sweep; per-cell seed = hash(base seed, cell index); merged in cell order.
 
-    Every cell's config is parsed before any cell runs.
+    Every cell's config is parsed before any cell runs.  When every cell's estimates
+    take at most one phase tile, the cells are cut into `threads` contiguous blocks, one
+    per worker process; otherwise the cells run in order and each splits its phases
+    over the workers, so workers never start workers of their own.
     """
     base_seed = config_from_doc(dict(doc, sweep={"axes": axes})).sampling.rng_seed
     cells = list(itertools.product(*[[(ax["parameter"], v) for v in ax["values"]] for ax in axes]))
     cfgs = [config_from_doc(_cell_doc(doc, cell, _derive_seed(base_seed, i))) for i, cell in enumerate(cells)]
+    by_cell = max(map(_phases, cfgs)) <= PHASE_TILE
 
     def one(idx):
-        rows, failures, _ = run(cfgs[idx])
+        rows, failures, _ = run(cfgs[idx], 1 if by_cell else threads)
         for r in rows:
             r["cell"] = idx
             for parameter, value in cells[idx]:
                 r[f"axis_{parameter}"] = json.dumps(value) if isinstance(value, list) else value
         return rows, failures
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(len(cells))))
-    else:
-        results = [one(idx) for idx in range(len(cells))]
+    results = _fork_map(one, range(len(cells)), threads if by_cell else 1)
     rows = [r for cell_rows, _ in results for r in cell_rows]
     failures = sum(f for _, f in results)
     return rows, failures, f"{len(cells)} cells, {failures} failures"
@@ -724,7 +743,9 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=os.environ.get("CMV_THREADS", "1"),  # argparse converts a string default by `type`
-        help="sweep worker count (default: CMV_THREADS or 1); affects speed only, never output",
+        help="worker processes (default: CMV_THREADS or 1), forked from this one on Linux "
+        "(elsewhere the run is serial): a sweep of single-tile cells splits its cells, any "
+        "other run splits each estimate's phases; affects speed only, never output",
     )
     args = parser.parse_args(argv)
     if args.threads < 1:
@@ -752,7 +773,7 @@ def main(argv=None) -> int:
         if "sweep" in doc:
             rows, failures, summary = run_sweep(doc, doc["sweep"]["axes"], args.threads)
         else:
-            rows, failures, summary = run(cfg)
+            rows, failures, summary = run(cfg, args.threads)
     except ConfigError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits

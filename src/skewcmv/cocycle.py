@@ -156,11 +156,12 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     1/sqrt z).  Lanes multiply A D / 2^e, 2^e the power of two nearest ||D|| =
     exp(|log|z||/2) (an exact scaling); log(1/rho) and e log 2 are summed apart.  A lane
     so grows by at most sqrt(2) (1 + max|alpha|) per step, whatever z is, and its norm
-    is refactored every RENORM_STEPS steps and at the last.  A z's row is bit-identical
-    alone or in a batch, and a carry continued from cuts at multiples of RENORM_STEPS
-    has the lanes of one call over all the steps: a hyperbolic product that grows and
-    then shrinks amplifies a rounding by up to its lost growth, so a renormalization
-    anywhere else could move log_scale far more than one rounding.
+    is refactored every RENORM_STEPS steps and at the last.  A lane is bit-identical
+    alone or in a call with any other z rows and phases, and a carry continued from cuts
+    at multiples of RENORM_STEPS has the lanes of one call over all the steps: a
+    hyperbolic product that grows and then shrinks amplifies a rounding by up to its
+    lost growth, so a renormalization anywhere else could move log_scale far more than
+    one rounding.
 
     On the unit circle A D has the form [[p, q], [conj q, conj p]], and so has every
     product of such factors: it is fixed by its first column (a, d), and its norm is
@@ -182,7 +183,9 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     else:  # the carry's own arrays, continued in place
         ls, X = np.reshape(carry[0], (len(sz), S)), np.moveaxis(carry[1], (-2, -1), (0, 1)).reshape(2, 2, len(sz), S)
     e = np.round(0.5 * np.abs(np.log2(np.abs(zs))))  # ||D|| ~ 2^e; e = 0 for 1/2 < |z| < 2
-    ls += n * np.log(2.0) * e[:, None] - np.log(np.sqrt(1.0 - a2)).sum(axis=0)
+    # each lane's log(1/rho) is summed along a contiguous copy, pairwise as a lone lane is
+    # summed, so the log scale does not depend on which lanes share the call
+    ls += n * np.log(2.0) * e[:, None] - np.log(np.sqrt(1.0 - a2)).T.copy().sum(axis=1)
     on_circle = np.abs(np.abs(zs) - 1.0) <= _CIRCLE_TOL
     su11 = (X[1, 1] == X[0, 0].conj()) & (X[0, 1] == X[1, 0].conj())  # [[a, conj d], [d, conj a]] exactly
     one_column = on_circle & su11.all(axis=-1)

@@ -3,12 +3,17 @@
 L_n(z) is the phase average of (1/n) log ||M_n||; the estimators here replace
 the integral by a deterministic midpoint grid (reproducible quadrature) or by
 seeded Monte Carlo (unbiased set-measure estimates).  Identical sampling
-configuration gives bit-identical results: phase order is fixed and the
-reductions use numpy's deterministic pairwise summation.
+configuration gives bit-identical results at any worker count: phase order is
+fixed and the reductions use numpy's deterministic pairwise summation.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +101,91 @@ class DeviationProfile:
 # product_batch call over the whole orbit would
 PHASE_TILE = 1024
 ORBIT_CHUNK = RENORM_STEPS
-# neighbouring pairs whose products avalanche_residual forms at once: 4 MiB of 2x2 blocks
+# blocks whose norms, and neighbouring pairs whose products, avalanche_residual forms at
+# once: 4 MiB of complex 2x2 blocks
 _PAIR_CHUNK = 2**16
+# processes that _u_values splits its phases over; set by _phase_workers
+_workers = 1
+# _fork_map forks on Linux only, where forking with OpenBLAS's thread pool alive was
+# checked (its pthread_atfork handler stops the pool); macOS's Accelerate thread pool is
+# not fork-safe, and Windows has no fork
+_FORK_SAFE = sys.platform == "linux"
+
+
+@contextlib.contextmanager
+def _phase_workers(workers: int):
+    """Inside the block, _u_values splits its phases over `workers` processes."""
+    global _workers
+    outer, _workers = _workers, workers
+    try:
+        yield
+    finally:
+        _workers = outer
+
+
+def _fork_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], the items cut into `workers` contiguous blocks, one per process.
+
+    This process runs the first block.  Each other block runs in a forked child, which
+    pickles its results, or the exception that stopped it, back through a pipe and exits.
+    The exception of the first failing item is raised again here, as a serial run would
+    raise it, and every child is reaped on every exit path.  One worker, or a platform
+    other than Linux (see _FORK_SAFE), runs the items here in order.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1 or not _FORK_SAFE:
+        return [fn(x) for x in items]
+    cuts = [len(items) * k // workers for k in range(workers + 1)]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for a, b in zip(cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _fork_child(fn, items[a:b], w)
+            os.close(w)
+            children.append((pid, r))
+        results = [fn(x) for x in items[: cuts[1]]]
+        for pid, r in children:
+            data = b"".join(iter(lambda: os.read(r, 1 << 20), b""))
+            if not data:
+                raise RuntimeError(f"worker process {pid} exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results += value
+        return results
+    except BaseException:
+        for pid, _ in children:  # a child still writing would never exit
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
+def _fork_child(fn, items: list, w: int) -> None:
+    """A forked worker: send (True, results) or (False, exception) through w, then exit."""
+    try:
+        try:
+            payload = pickle.dumps((True, [fn(x) for x in items]))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:  # an exception that does not pickle goes back as its text
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
 
 
 def _u_values(s: VerblunskyScheme, z, ns, phases: np.ndarray) -> np.ndarray:
@@ -106,11 +194,21 @@ def _u_values(s: VerblunskyScheme, z, ns, phases: np.ndarray) -> np.ndarray:
     The orbit is cut at every n in ns and every multiple of ORBIT_CHUNK below max(ns), one
     product_batch call per piece, whose renormalized last step gives log ||M_n||.  A row is
     bit-identical to its n alone when every smaller n in ns is a multiple of ORBIT_CHUNK,
-    and its products are then those of one product_batch call over the n steps.
+    and its products are then those of one product_batch call over the n steps.  Inside
+    _phase_workers(k) the phases are cut into k contiguous ranges, one per worker of
+    _fork_map; a lane rounds alike in any product_batch call, so u does not depend on k.
     """
     if not len(ns) or min(ns) < 1:
         raise ValueError(f"n must be >= 1, got {list(ns)}")
     ends = sorted({*range(ORBIT_CHUNK, max(ns), ORBIT_CHUNK), *ns})
+    k = max(1, min(_workers, len(phases)))
+    cuts = [len(phases) * i // k for i in range(k + 1)]
+    parts = _fork_map(lambda c: _u_tiles(s, z, ns, ends, phases[c[0] : c[1]]), zip(cuts, cuts[1:]), k)
+    return parts[0] if k == 1 else np.concatenate(parts, axis=-1)
+
+
+def _u_tiles(s: VerblunskyScheme, z, ns, ends: list, phases: np.ndarray) -> np.ndarray:
+    """_u_values over the phases in tiles of PHASE_TILE, each streamed through the cuts `ends`."""
     u = np.empty((len(ns),) + np.shape(z) + (len(phases),))
     for p0 in range(0, len(phases), PHASE_TILE):
         tile, carry = phases[p0 : p0 + PHASE_TILE], None
@@ -186,21 +284,37 @@ class AvalancheReport:
     n_over_mu: float
 
 
-def _product_tree(U: np.ndarray) -> FactoredProduct:
+def _chunked_norms(U: np.ndarray) -> np.ndarray:
+    """spectral_norms_2x2 of a stack of blocks, _PAIR_CHUNK blocks at a time: the norms are
+    elementwise, so they equal one call's, and the temporaries stay chunk-sized."""
+    norms = np.empty(len(U))
+    for j in range(0, len(U), _PAIR_CHUNK):
+        norms[j : j + _PAIR_CHUNK] = spectral_norms_2x2(U[j : j + _PAIR_CHUNK])
+    return norms
+
+
+def _product_tree(U: np.ndarray, overwrite: bool = False) -> FactoredProduct:
     """U[n-1] ... U[1] U[0] for a stack of 2x2 matrices, multiplied as a pairwise tree.
 
-    The blocks have unit norm.  Each level is one batched product of neighbouring
-    blocks, renormalized to unit norm in place, and an odd block is carried up as
-    it is; every log norm taken off joins the product's log scale.
+    The blocks have unit norm.  Each level is the batched product of neighbouring
+    blocks, formed _PAIR_CHUNK products at a time and renormalized to unit norm, and an
+    odd block is carried up as it is; every log norm taken off joins the product's log
+    scale.  A level is written over the level below it, the first one into a new
+    array unless `overwrite` lets it take U's blocks.
     """
     P, log_scale = U, 0.0
     while len(P) > 1:
-        m = len(P) - len(P) % 2
-        prod = P[1:m:2] @ P[0:m:2]
-        s = spectral_norms_2x2(prod)
-        prod /= s[:, None, None]
-        P = np.concatenate([prod, P[m:]]) if m < len(P) else prod
-        log_scale += float(np.sum(np.log(s)))
+        half, odd = divmod(len(P), 2)
+        out = P if overwrite or P is not U else np.empty((half + odd, 2, 2), P.dtype)
+        s = np.empty(half)
+        for j in range(0, half, _PAIR_CHUNK):  # product j reads blocks 2j and 2j + 1 >= j
+            k = min(j + _PAIR_CHUNK, half)
+            np.matmul(P[2 * j + 1 : 2 * k : 2], P[2 * j : 2 * k : 2], out=out[j:k])
+            s[j:k] = spectral_norms_2x2(out[j:k])
+            out[j:k] /= s[j:k, None, None]
+        out[half : half + odd] = P[2 * half :]
+        P = out[: half + odd]
+        log_scale += float(np.sum(np.log(s, out=s)))
     return FactoredProduct(P[0], log_scale)
 
 
@@ -211,27 +325,30 @@ def avalanche_residual(matrices, log_scales=None) -> AvalancheReport:
     exp(log_scales[j]) U_j with ||U_j|| = 1; raw blocks are divided by their norms, in
     a copy that keeps their dtype, so real blocks are multiplied in real arithmetic.
     The log norms cancel exactly, so residual = |log||U_n...U_1|| - sum_j log||U_{j+1} U_j||
-    and gap = max_j -log||U_{j+1} U_j||.  The pair products are formed _PAIR_CHUNK
-    at a time.  A hypothesis violation only clears the flag.
+    and gap = max_j -log||U_{j+1} U_j||.  Norms and products are formed _PAIR_CHUNK
+    blocks at a time, and the product tree takes the raw blocks' copy once the pairs
+    are done.  A hypothesis violation only clears the flag.
     """
     U = np.asarray(matrices)
+    raw = log_scales is None
     # raw blocks are copied once, in their own float or complex dtype, and normalized in place
-    U = U.astype(np.result_type(U, float), copy=log_scales is None)
+    U = U.astype(np.result_type(U, float), copy=raw)
     n = len(U)
     if n < 3:
         raise ValueError("need at least 3 matrices")
-    if log_scales is None:
-        norms = spectral_norms_2x2(U)
+    if raw:
+        norms = _chunked_norms(U)
         U /= norms[:, None, None]
-        log_scales, mu = np.log(norms), float(np.min(norms))
+        mu = float(np.min(norms))
+        log_scales = np.log(norms, out=norms)
     else:
         mu = float(np.exp(np.min(log_scales)))
-    total = _product_tree(U)
     later, earlier = U[1:], U[:-1]  # pair j is later[j] @ earlier[j]
-    pair_logs = np.concatenate([
-        np.log(spectral_norms_2x2(later[j : j + _PAIR_CHUNK] @ earlier[j : j + _PAIR_CHUNK]))
-        for j in range(0, n - 1, _PAIR_CHUNK)
-    ])
+    pair_logs = np.empty(n - 1)
+    for j in range(0, n - 1, _PAIR_CHUNK):
+        pairs = later[j : j + _PAIR_CHUNK] @ earlier[j : j + _PAIR_CHUNK]
+        pair_logs[j : j + _PAIR_CHUNK] = np.log(spectral_norms_2x2(pairs))
+    total = _product_tree(U, overwrite=raw)
     residual = abs(total.log_scale - float(np.sum(pair_logs)))
     gap = float(np.max(0.0 - pair_logs))  # 0.0, not -0.0, when every pair is aligned
     ok = bool(mu >= n and gap <= 0.5 * np.min(log_scales))

@@ -304,9 +304,7 @@ class TestCircleStep:
         data=st.data(),
     )
     def test_lone_lane_is_bit_identical_to_its_batch(self, seed, n, Z, S, data):
-        # numpy multiplies a one-element array in place by an unfused loop, so Z = S = 1 is its own case.
-        # A lane's B is elementwise; its log scale sums log rho down a column, which rounds as a
-        # contiguous column only when S = 1, so it is bit-identical across z rows, not across phases
+        # numpy multiplies a one-element array in place by an unfused loop, so Z = S = 1 is its own case
         rng = np.random.default_rng(seed)
         alphas = 0.97 * np.sqrt(rng.random((n, S))) * np.exp(2j * np.pi * rng.random((n, S)))
         zs = np.exp(2j * np.pi * rng.random(Z))
@@ -314,7 +312,32 @@ class TestCircleStep:
         i, k = data.draw(st.integers(0, Z - 1)), data.draw(st.integers(0, S - 1))
         one_ls, one_B = product_batch(alphas[:, k : k + 1], zs[i])
         assert np.array_equal(one_B[0], B[i, k])
-        assert one_ls[0] == product_batch(alphas[:, k : k + 1], zs)[0][i, 0]
+        assert one_ls[0] == ls[i, k]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 2 * RENORM_STEPS + 3),
+        S=st.integers(1, 40),
+        radii=st.lists(st.sampled_from([1.0, 1.0, 0.8, 1.3]), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_any_partition_of_the_lanes_rounds_alike(self, seed, n, S, radii, data):
+        # the phases and the z rows, on the circle (one-column step) and off it (two-column
+        # step), are dealt into calls by drawn labels; every lane of every call must equal
+        # its lane in the whole call, log scale and B, bit for bit
+        rng = np.random.default_rng(seed)
+        alphas = 0.97 * np.sqrt(rng.random((n, S))) * np.exp(2j * np.pi * rng.random((n, S)))
+        zs = np.array(radii) * np.exp(2j * np.pi * rng.random(len(radii)))
+        ls, B = product_batch(alphas, zs)
+        phase_of = np.array(data.draw(st.lists(st.integers(0, 3), min_size=S, max_size=S)))
+        row_of = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(zs), max_size=len(zs))))
+        for p in np.unique(phase_of):
+            for r in np.unique(row_of):
+                k, i = np.flatnonzero(phase_of == p), np.flatnonzero(row_of == r)
+                part_ls, part_B = product_batch(alphas[:, k], zs[i])
+                assert np.array_equal(part_ls, ls[np.ix_(i, k)])
+                assert np.array_equal(part_B, B[np.ix_(i, k)])
 
 
 class TestSL2RConjugation:
