@@ -8,15 +8,17 @@ make the window unitary with an exact factorization E = L M into direct sums of
 2x2 blocks (even-indexed blocks in L, odd-indexed in M; parity is anchored to
 the absolute lattice index).
 
-Every window comes from one builder, `_window_lm`, and it is the only place
-that knows which block belongs to which factor.  From the coefficients
-alpha_{a-1} .. alpha_b, the only ones E over [a, b] reads, and a substitution
-map it forms all Theta blocks at once and cuts them into `lm`, the diagonals
-and off-diagonals of the symmetric tridiagonals L and M.  A window stores `lm`
-and nothing derived from it: E X is computed as L (M X), and E's five
-diagonals (Cantero, Moral & Velazquez 2003) are formed from `lm` on demand,
-each entry the single nonzero product L[i, k] M[k, j], when a dense E is
-scattered for dense eigensolvers and the dense oracles.
+Every window comes from one builder, `_window_lm`, and `_own_is_l` is the
+only place that knows which block belongs to which factor.  From the
+coefficients alpha_{a-1} .. alpha_b, the only ones E over [a, b] reads, and a
+substitution map the builder forms all Theta blocks at once and cuts them into
+`lm`, the diagonals and off-diagonals of the symmetric tridiagonals L and M.
+A window stores `lm` and nothing derived from it: E X is computed as L (M X),
+and E's five diagonals (Cantero, Moral & Velazquez 2003) are formed from `lm`
+on demand, each entry the single nonzero product L[i, k] M[k, j], when a
+dense E is scattered for dense eigensolvers and the dense oracles.  A unitary
+window's L has a symmetric unitary square root R (`_l_root`), block by block,
+and R^{-1} E R = R M R is symmetric as well as unitary.
 """
 
 from __future__ import annotations
@@ -90,11 +92,38 @@ def _window_lm(alphas, a: int, substitutions: dict | None = None) -> tuple:
         if 0 <= site - (a - 1) < len(alphas):
             alphas[site - (a - 1)] = value
     blocks = _theta(alphas)  # blocks[m] sits at site a - 1 + m
-    own_is_l = (a + np.arange(len(alphas) - 1)) % 2 == 0
+    own_is_l = _own_is_l(a, len(alphas) - 1)
     own, before, rho = blocks[1:, 0, 0], blocks[:-1, 1, 1], blocks[1:-1, 0, 1]
     pair = own_is_l[:-1]  # pair[i]: L couples i and i + 1, else M does
     return (np.where(own_is_l, own, before), np.where(pair, rho, 0.0),
             np.where(own_is_l, before, own), np.where(pair, 0.0, rho))
+
+
+def _own_is_l(a: int, n: int) -> np.ndarray:
+    """Whether the Theta block of each site a .. a + n - 1 belongs to L (even sites) rather than M."""
+    return (a + np.arange(n)) % 2 == 0
+
+
+def _l_root(lm: tuple, a: int) -> tuple:
+    """(r_diag, r_off) of the symmetric unitary square root R of a unitary window's L over [a, b].
+
+    L is a direct sum of the 2x2 blocks Theta on the sites i, i + 1 that it
+    couples (a + i even) and of 1x1 entries at the edges.  A block's root is
+    (Theta + s I) / t with s^2 = det Theta and t^2 = tr Theta + 2 s, a
+    polynomial in Theta whose eigenvalues are roots of Theta's, so it is
+    symmetric and unitary.  The two signs of s give values of |t|^2 that sum
+    to 4, and the sign with |t|^2 >= 2 is taken.  An edge entry takes its
+    principal root.
+    """
+    l_diag, l_off = lm[0], lm[1]
+    i = np.flatnonzero(_own_is_l(a, len(l_off)))  # L's blocks sit on the sites i, i + 1
+    p, q, r = l_diag[i], l_off[i], l_diag[i + 1]
+    tr, s = p + r, np.sqrt(p * r - q * q)
+    s = np.where((tr.conj() * s).real >= 0.0, s, -s)  # |tr + 2s|^2 - |tr - 2s|^2 = 8 Re(conj(tr) s)
+    t = np.sqrt(tr + 2.0 * s)
+    r_diag, r_off = np.sqrt(l_diag), np.zeros_like(l_off)
+    r_diag[i], r_diag[i + 1], r_off[i] = (p + s) / t, (r + s) / t, q / t
+    return r_diag, r_off
 
 
 def _tri_dot(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -122,9 +151,9 @@ def _diagonals(lm: tuple) -> dict:
 
 
 def _dense(diagonals: dict) -> np.ndarray:
-    """The dense matrix with these diagonals, given as by `_diagonals`; offset 0 sets the size."""
+    """The dense matrix with these diagonals, given as by `_diagonals`; offset 0 sets the size, their dtype its dtype."""
     n = len(diagonals[0])
-    A = np.zeros((n, n), dtype=complex)
+    A = np.zeros((n, n), dtype=np.result_type(*diagonals.values()))
     flat = A.reshape(-1)
     for k, d in diagonals.items():  # A[j + k, j] is a stride of n + 1 in `flat`, from A[max(k, 0), max(-k, 0)]
         flat[max(k, 0) * n + max(-k, 0) :: n + 1][: len(d)] = d

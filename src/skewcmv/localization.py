@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmv import BoundaryPair, CMVWindow, _dense, _diagonals, _lm_dot, assemble_window
+from .cmv import BoundaryPair, CMVWindow, _dense, _l_root, _lm_dot, _tri_dot, assemble_window
 from .green import _line_fit, _resolvent_solve
 from .lyapunov import SamplingConfig, estimate_Ln_many
 from .model import VerblunskyScheme
@@ -38,7 +38,7 @@ class EigenPair:
     residual: float
 
 
-# cos values of H = (E + E*)/2 closer than this many mean spacings (2/N) share a Ritz step
+# cos values of Re S (_normal_eigvecs) closer than this many mean spacings (2/N) share a Ritz step
 _CLUSTER_SPACINGS = 0.3
 # columns per block when forming E V and when fitting decay, which bounds the temporaries to N x 64
 _COLUMN_BLOCK = 64
@@ -55,7 +55,7 @@ def window_spectrum(window: CMVWindow) -> list:
     """All eigenpairs of the window, sorted by eigenvalue angle for determinism.
 
     Under a unimodular boundary E is unitary, hence normal, and every eigenvalue
-    lies on the unit circle: those windows take the Hermitian route of
+    lies on the unit circle: those windows take the real symmetric route of
     `_normal_eigvecs`; other windows are not normal and take dense `eig`'s vectors.
     Each eigenvalue is the Rayleigh quotient v* E v, with residual ||E v - w v||.
     """
@@ -73,25 +73,34 @@ def window_spectrum(window: CMVWindow) -> list:
 
 
 def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
-    """Unit eigenvectors of a unitary window E through the Hermitian H = (E + E*)/2.
+    """Unit eigenvectors of a unitary window E = L M through the real symmetric Re S.
 
-    H has the eigenvectors of E and the eigenvalues cos(theta).  Its ascending
-    eigenvalues are cut into groups wherever the gap reaches _CLUSTER_SPACINGS
-    mean spacings.  Inside a group the vectors are rotated by one Rayleigh-Ritz
-    step with E, which separates the pairs e^{+-i theta} of conjugation-symmetric
-    spectra and the crowded cos values near theta = 0, pi, where H's vectors are
-    poorly determined.  Last, every vector takes one step of inverse iteration
-    with E shifted by its Rayleigh quotient.  The back-transform inside `eigh`
-    leaves a floor of 1e-15 to 1e-14 on every site, far above the true tail of
-    a localized vector, and decay fits read it as a plateau; the solve removes it.
+    With R the symmetric unitary square root of L (`cmv._l_root`), S = R M R =
+    R^{-1} E R is complex symmetric and unitary, so its real and imaginary parts
+    are real symmetric matrices that commute, and a real orthogonal U
+    diagonalizes both.  Re S has the eigenvalues cos(theta) of E's e^{i theta},
+    and `eigh` of that real band of seven diagonals gives U; V = R U has unit
+    columns, E's eigenvectors up to clusters of cos values.  The ascending cos
+    values are cut into groups wherever the gap reaches _CLUSTER_SPACINGS mean
+    spacings.  Inside a group the vectors are rotated by one Rayleigh-Ritz step
+    with E, which separates the pairs e^{+-i theta} that share a cos value and
+    the crowded cos values near theta = 0, pi, where U is poorly determined.
+    Last, every vector takes one step of inverse iteration with E shifted by its
+    Rayleigh quotient.  The back-transform inside `eigh` leaves a floor of 1e-15
+    to 1e-14 on every site, far above the true tail of a localized vector, and
+    decay fits read it as a plateau; the solve removes it.
 
     The step x = (E - s)^{-1} v = -G(s) conj(L) v solves through `green`'s pencil,
     _LANE_BLOCK shifts per call.  A shift that makes the pencil exactly singular
     is an eigenvalue to working precision, and its vector stays.
     """
     lm, n = window.lm, window.size
-    d = _diagonals(lm)  # H[j + k, j] = (E[j + k, j] + conj(E[j, j + k])) / 2
-    c, V = np.linalg.eigh(_dense({k: 0.5 * (d[k] + d[-k].conj()) for k in d}))
+    r = _l_root(lm, window.a)
+    c, U = np.linalg.eigh(_real_s(lm, r))
+    V = np.empty((n, n), dtype=complex)
+    for j in range(0, n, _COLUMN_BLOCK):
+        V[:, j : j + _COLUMN_BLOCK] = _tri_dot(*r, U[:, j : j + _COLUMN_BLOCK])
+    del U
     cuts = np.flatnonzero(np.diff(c) >= _CLUSTER_SPACINGS * 2.0 / n) + 1
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
         if hi - lo > 1:
@@ -108,6 +117,25 @@ def _normal_eigvecs(window: CMVWindow) -> np.ndarray:
         blk[:, solved] = x / np.linalg.norm(x, axis=0)
         del x  # before the next block allocates its own work array
     return V
+
+
+def _real_s(lm: tuple, r: tuple) -> np.ndarray:
+    """Re S for S = R M R, a dense real matrix scattered from S's seven diagonals.
+
+    S is banded with |i - j| <= 3, so S X on the probes X[j, j % 7] = 1 holds
+    every band entry once: S[i, j] = (S X)[i, j % 7].  S X is three tridiagonal
+    products of an N x 7 array, and no dense complex matrix is formed.
+    """
+    n = len(r[0])
+    j = np.arange(n)
+    probes = np.zeros((n, 7))
+    probes[j, j % 7] = 1.0
+    SX = _tri_dot(*r, _tri_dot(lm[2], lm[3], _tri_dot(*r, probes))).real
+    diagonals = {}
+    for k in range(-3, 4):
+        cols = np.arange(max(-k, 0), n - max(k, 0))  # S[cols + k, cols] is diagonal k
+        diagonals[k] = SX[cols + k, cols % 7]
+    return _dense(diagonals)
 
 
 def _residuals(lm: tuple, V: np.ndarray) -> tuple:
