@@ -42,10 +42,11 @@ SL2R_CONJUGATOR = -(1.0 / (1.0 + 1.0j)) * np.array([[1.0, -1.0j], [1.0, 1.0j]], 
 # lanes of the (z, phase) grid multiplied together; bounds the kernel's temporaries.  It
 # splits z rows only, so a call over one z and more than LANE_BLOCK phases runs unsplit
 # (callers with long lane arrays, such as avalanche's cocycle mode, group them themselves).
-# _u_values on one core, best of 5, with every row on the two-column step, at LANE_BLOCK
-# 8192 / untiled / 2048: Z = 512 z over S = 144 phases at n = 128 (localize's references)
-# 0.15 / 0.24 / 0.27 s; Z = 4, S = 1024, n = 1000 (lyapunov-sweep) 0.14 / 0.13 / 0.18 s;
-# Z = 64, S = 1024, n = 200 0.22 / 0.32 / 0.36 s
+# _u_values on one core, best of 5, at LANE_BLOCK 8192 / untiled / 2048, z on the circle
+# (one column a lane) and at |z| = 1.3 (two): Z = 512 z over S = 144 phases at n = 128
+# (localize's references) 0.07 / 0.10 / 0.09 s and 0.12 / 0.20 / 0.11 s; Z = 4, S = 1024,
+# n = 1000 (lyapunov-sweep) 0.08 / 0.08 / 0.09 s and 0.10 / 0.11 / 0.11 s; Z = 64,
+# S = 1024, n = 200 0.10 / 0.15 / 0.15 s and 0.17 / 0.29 / 0.17 s
 LANE_BLOCK = 8192
 # steps between renormalizations, counted from a call's first step.  A lane grows by
 # less than 2 sqrt(2) a step, so by a log-growth below 67 over 64 steps, and
@@ -53,7 +54,7 @@ LANE_BLOCK = 8192
 # exponent limit of 709.  The cadence does not depend on the alphas, so a stream cut at
 # multiples of RENORM_STEPS rounds as one call over the whole orbit does
 RENORM_STEPS = 64
-# rows with ||z| - 1| at most this take the one-column circle step: exp(i theta) and the
+# rows with ||z| - 1| at most this carry one column a lane: exp(i theta) and the
 # w / |w| of a unit-circle eigenvalue lie within 2 eps of the circle
 _CIRCLE_TOL = 4 * np.finfo(float).eps
 # sl2r_conjugate rejects a matrix whose conjugate keeps an imaginary part this large
@@ -63,7 +64,7 @@ _STRIP_WIDTH = 0.5
 
 
 class CocycleError(ValueError):
-    """Raised for invalid cocycle inputs (|alpha| >= 1, z zero or not finite)."""
+    """Raised for invalid cocycle inputs (|alpha| >= 1, alphas not of shape (n, S), z zero or not finite)."""
 
 
 class ConjugationError(RuntimeError):
@@ -145,7 +146,7 @@ class FactoredProduct:
 def product_batch(alphas: np.ndarray, z, carry=None):
     """Renormalized transfer products over a (Z, S) grid of spectral parameters x orbits.
 
-    `alphas` has shape (n, S): column s holds alpha_0..alpha_{n-1} of one orbit.
+    `alphas` has shape (n, S), any other raises CocycleError: column s holds alpha_0..alpha_{n-1} of one orbit.
     A scalar z gives (log_scales, B) of shapes (S,), (S, 2, 2); an array of Z
     values gives (Z, S), (Z, S, 2, 2), B a view of one (2, 2, Z, S) lane array.
     A lane's product is exp(log_scale) * B, the j = n-1 factor leftmost.  `carry`,
@@ -163,14 +164,16 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     lost growth, so a renormalization anywhere else could move log_scale far more than
     one rounding.
 
-    On the unit circle A D has the form [[p, q], [conj q, conj p]], and so has every
-    product of such factors: it is fixed by its first column (a, d), and its norm is
-    |a| + |d|.  A row with ||z| - 1| <= _CIRCLE_TOL whose lanes all have exactly that
-    form (a fresh product has) carries (a, d) alone, steps by sqrt z / |sqrt z|, and
-    rebuilds B from it at the end of the call.  Other rows, off the circle or carried
-    from a product that is not of that form, multiply both columns.
+    Each row's lanes carry k columns through one step.  On the unit circle A D has the
+    form [[p, q], [conj q, conj p]], and so has every product of such factors: it is
+    fixed by its first column (a, d), of norm |a| + |d|.  A row with ||z| - 1| <=
+    _CIRCLE_TOL whose lanes all have that form exactly (a fresh product has) carries
+    k = 1, (a, d), steps by sqrt z / |sqrt z|, and rebuilds B at the end of the call.
+    Other rows, off the circle or carried from a product not of that form, carry k = 2.
     """
-    alphas = np.atleast_2d(np.asarray(alphas, dtype=complex))
+    alphas = np.asarray(alphas, dtype=complex)
+    if alphas.ndim != 2:
+        raise CocycleError(f"alphas must have shape (n, S), got shape {alphas.shape}")
     n, S = alphas.shape
     zs = np.reshape(z, -1)
     sz = circle_sqrt(zs)
@@ -189,62 +192,47 @@ def product_batch(alphas: np.ndarray, z, carry=None):
     on_circle = np.abs(np.abs(zs) - 1.0) <= _CIRCLE_TOL
     su11 = (X[1, 1] == X[0, 0].conj()) & (X[0, 1] == X[1, 0].conj())  # [[a, conj d], [d, conj a]] exactly
     one_column = on_circle & su11.all(axis=-1)
+    # a circle row steps by the unit sqrt z and its conjugate, any other row by D / 2^e
+    c, scale = sz / np.abs(sz), 2.0**-e
+    zt, zb = np.where(one_column, c, sz * scale), np.where(one_column, c.conj(), (1.0 / sz) * scale)
     abar, rows = alphas.conj(), max(1, LANE_BLOCK // S)
-    two, one = np.flatnonzero(~one_column), np.flatnonzero(one_column)
-    # each kind of row is gathered into contiguous work arrays, a block of rows at a time
-    for r in range(0, len(two), rows):
-        i = two[r : r + rows]
-        Xb, lb = np.take(X, i, axis=2), ls[i]
-        _two_column_steps(Xb, lb, alphas, abar, sz[i] * 2.0 ** -e[i], (1.0 / sz[i]) * 2.0 ** -e[i])
-        X[:, :, i], ls[i] = Xb, lb
-    for r in range(0, len(one), rows):
-        i = one[r : r + rows]
-        if len(i) * S == 1:
-            # numpy multiplies a one-element array in place by an unfused scalar loop;
-            # a repeated lane keeps the row bit-identical to larger calls
-            i = np.repeat(i, 2)
-        V, lb = np.take(X[:, 0], i, axis=1), ls[i]
-        _one_column_steps(V, lb, alphas, abar, sz[i] / np.abs(sz[i]))
-        X[:, 0, i], X[:, 1, i], ls[i] = V, V[::-1].conj(), lb
+    # each kind of row is gathered into contiguous work arrays of k columns, a block of rows at a time
+    for k, kind in ((2, np.flatnonzero(~one_column)), (1, np.flatnonzero(one_column))):
+        for r in range(0, len(kind), rows):
+            i = kind[r : r + rows]
+            if k * len(i) * S == 1:
+                # numpy multiplies a one-element array in place by an unfused scalar loop;
+                # a repeated lane keeps the row bit-identical to larger calls
+                i = np.repeat(i, 2)
+            V, lb = np.take(X[:, :k], i, axis=2), ls[i]
+            _lane_steps(V, lb, alphas, abar, zt[i], zb[i])
+            X[:, :k, i], ls[i] = V, lb
+            if k == 1:  # the second column of [[a, conj d], [d, conj a]]
+                X[:, 1, i] = V[::-1, 0].conj()
     B = np.moveaxis(X, (0, 1), (2, 3))
     return (ls, B) if np.ndim(z) else (ls[0], B[0])
 
 
-def _two_column_steps(X: np.ndarray, ls: np.ndarray, alphas, abar, zt, zb) -> None:
-    """Multiply the (2, 2, R, S) lanes X in place by the n factors, rows scaled by zt and zb.
+def _lane_steps(V: np.ndarray, ls: np.ndarray, alphas, abar, zt, zb) -> None:
+    """Multiply the lanes V, of shape (2, k, R, S), in place by the n factors, rows scaled by zt and zb.
 
-    ls, of shape (R, S), gains the log norms taken off.
+    k = 2 carries both columns; k = 1 carries the first column (a, d) of a circle
+    product, whose norm is |a| + |d|.  ls, of shape (R, S), gains the log norms taken off.
     """
-    top, bot = X
-    for j in range(len(alphas)):
-        top *= zt[:, None]
-        bot *= zb[:, None]
-        t = alphas[j] * top
-        top -= abar[j] * bot
-        bot -= t
-        if (j + 1) % RENORM_STEPS == 0 or j == len(alphas) - 1:
-            s = spectral_norms_2x2(np.moveaxis(X, (0, 1), (2, 3)))
-            X *= 1.0 / s
-            ls += np.log(s)
-
-
-def _one_column_steps(V: np.ndarray, ls: np.ndarray, alphas, abar, c) -> None:
-    """Advance the first columns V = (a, d), of shape (2, R, S), in place by the n circle factors.
-
-    c holds the unit sqrt z of each row; ls, of shape (R, S), gains the log norms taken off.
-    """
-    a, d = V
-    cs = np.repeat(np.stack([c, c.conj()]), a.shape[1], axis=1).reshape(V.shape)  # full size: a broadcast is slower
-    t, u = np.empty_like(a), np.empty_like(a)
+    W = V.reshape(2, -1, V.shape[-1])  # the k columns side by side
+    top, bot = W
+    cs = np.empty_like(V)  # the row scales at full size: a broadcast is slower
+    cs[0], cs[1] = zt[:, None], zb[:, None]
+    t, u = np.empty_like(top), np.empty_like(top)
     for j in range(len(alphas)):
         V *= cs
-        np.multiply(alphas[j], a, out=t)
-        np.multiply(abar[j], d, out=u)
-        a -= u
-        d -= t
+        np.multiply(alphas[j], top, out=t)
+        np.multiply(abar[j], bot, out=u)
+        top -= u
+        bot -= t
         if (j + 1) % RENORM_STEPS == 0 or j == len(alphas) - 1:
-            s = np.abs(a)
-            s += np.abs(d)
+            s = (np.abs(V[0, 0]) + np.abs(V[1, 0]) if V.shape[1] == 1
+                 else spectral_norms_2x2(np.moveaxis(V, (0, 1), (2, 3))))
             V *= 1.0 / s
             ls += np.log(s)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,12 @@ class TestStreamedKernel:
         with pytest.raises(CocycleError):
             product_batch(np.array([[0.5, 1.0]]), 1.0)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 2, 2)])
+    def test_rejects_alphas_that_are_not_n_by_S(self, shape):
+        # a lone orbit of shape (n,) is not read as one step over n lanes
+        with pytest.raises(CocycleError, match=rf"shape \(n, S\), got shape {re.escape(str(shape))}"):
+            product_batch(np.full(shape, 0.3 + 0.1j), 1.0)
+
 
 def su11_form(B) -> bool:
     """Every lane of B has exactly the form [[a, conj d], [d, conj a]]."""
@@ -270,7 +278,7 @@ class TestCircleStep:
         z = np.exp(1j * theta)
         alphas = verblunsky_orbit_batch(s, n, rng.random((3, 2)))
         ls, B = streamed(alphas, z, data.draw(st.lists(st.integers(0, n), max_size=3)))
-        assert su11_form(B)  # the one-column step rebuilt B from its first column
+        assert su11_form(B)  # the circle rows rebuilt B from its first column
         for k in range(3):
             ref = fold_reference(alphas[:, k], z)
             got = FactoredProduct(B[k], float(ls[k]))
@@ -284,10 +292,10 @@ class TestCircleStep:
         z_off, z_on = 1.3 * np.exp(0.4j), np.exp(1.1j)
         carry = product_batch(alphas[:70], np.array([z_off, z_on]))
         assert not su11_form(carry[1][0]) and su11_form(carry[1][1])
-        rows, one_column = [], cocycle._one_column_steps  # the row count of each one-column block
-        monkeypatch.setattr(cocycle, "_one_column_steps", lambda V, *a: rows.append(V.shape[1]) or one_column(V, *a))
+        blocks, lane_steps = [], cocycle._lane_steps  # (columns, rows) of each block of lanes
+        monkeypatch.setattr(cocycle, "_lane_steps", lambda V, *a: blocks.append(V.shape[1:3]) or lane_steps(V, *a))
         ls, B = product_batch(alphas[70:], np.array([z_on, z_on]), carry=carry)
-        assert rows == [1] and su11_form(B[1]) and not su11_form(B[0])
+        assert sorted(blocks) == [(1, 1), (2, 1)] and su11_form(B[1]) and not su11_form(B[0])
         for i, z_first in enumerate((z_off, z_on)):
             for k in range(4):
                 ref = fold_reference(alphas[70:, k], z_on).compose(fold_reference(alphas[:70, k], z_first))
@@ -323,8 +331,8 @@ class TestCircleStep:
         data=st.data(),
     )
     def test_any_partition_of_the_lanes_rounds_alike(self, seed, n, S, radii, data):
-        # the phases and the z rows, on the circle (one-column step) and off it (two-column
-        # step), are dealt into calls by drawn labels; every lane of every call must equal
+        # the phases and the z rows, on the circle (one column a lane) and off it (two
+        # columns), are dealt into calls by drawn labels; every lane of every call must equal
         # its lane in the whole call, log scale and B, bit for bit
         rng = np.random.default_rng(seed)
         alphas = 0.97 * np.sqrt(rng.random((n, S))) * np.exp(2j * np.pi * rng.random((n, S)))

@@ -51,8 +51,8 @@ def _task_calls(case: int) -> list:
         ("spectrum-nonunimodular", "spectrum", {"size": 64, "beta": [0.3, 0.4], "gamma": [0.5, 0.0]}, {}),
         # 2**17 pairs, two of avalanche_residual's pair chunks, and an odd count that carries a block up the tree
         ("avalanche-hyperbolic", "avalanche", {"mode": "hyperbolic", "count": 2**17 + 1, "block": 1}, {}),
-        # z on and off the unit circle: every other call takes z on it, so only this one reaches
-        # product_batch's two-column step
+        # z on and off the unit circle: every other call takes z on it, so only this one runs
+        # product_batch's lanes with both columns (k = 2)
         ("lyapunov-offcircle", "lyapunov", {"z_list": [1.0, 1.3, [0.0, -0.7], [0.6, 0.8]]}, plan),
     )
     return [
