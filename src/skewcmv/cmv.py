@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import VerblunskyScheme, verblunsky_range
+from .model import VerblunskyScheme, _integer, verblunsky_range
 
 __all__ = [
     "CoefficientError",
@@ -249,7 +249,7 @@ def assemble_window(s: VerblunskyScheme, interval, bc: BoundaryPair) -> CMVWindo
     permitted but flagged: the window is still built (as a submatrix of the
     modified operator) and the unitarity and E = L M identities are waived.
     """
-    a, b = int(interval[0]), int(interval[1])
+    a, b = _integer("interval[0]", interval[0]), _integer("interval[1]", interval[1])
     if b < a:
         raise ValueError(f"empty interval [{a}, {b}]")
     if b - a + 1 < 2:

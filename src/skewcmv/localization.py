@@ -17,7 +17,7 @@ import numpy as np
 from .cmv import BoundaryPair, CMVWindow, _dense, _l_root, _lm_dot, _tri_dot, assemble_window
 from .green import _line_fit, _resolvent_solve
 from .lyapunov import SamplingConfig, estimate_Ln_many
-from .model import VerblunskyScheme
+from .model import VerblunskyScheme, _integer
 
 __all__ = [
     "EigenPair",
@@ -295,7 +295,7 @@ def finite_size_drift(
     ipr * size (an extendedness score that stays O(1) for flat states), and
     the flagged fraction.
     """
-    sizes = [int(x) for x in sizes]
+    sizes = [_integer(f"sizes[{i}]", x) for i, x in enumerate(sizes)]
     if any(s2 < s1 for s1, s2 in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be ascending")
     rows = []

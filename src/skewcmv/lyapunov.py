@@ -104,7 +104,7 @@ ORBIT_CHUNK = RENORM_STEPS
 # blocks whose norms, and neighbouring pairs whose products, avalanche_residual forms at
 # once: 4 MiB of complex 2x2 blocks
 _PAIR_CHUNK = 2**16
-# processes that _u_values splits its phases over; set by _phase_workers
+# processes that _u_values deals its phase tiles to; set by _phase_workers
 _workers = 1
 # _fork_map forks on Linux only, where forking with OpenBLAS's thread pool alive was
 # checked (its pthread_atfork handler stops the pool); macOS's Accelerate thread pool is
@@ -114,7 +114,7 @@ _FORK_SAFE = sys.platform == "linux"
 
 @contextlib.contextmanager
 def _phase_workers(workers: int):
-    """Inside the block, _u_values splits its phases over `workers` processes."""
+    """Inside the block, _u_values deals its phase tiles to `workers` processes."""
     global _workers
     outer, _workers = _workers, workers
     try:
@@ -194,28 +194,27 @@ def _u_values(s: VerblunskyScheme, z, ns, phases: np.ndarray) -> np.ndarray:
     The orbit is cut at every n in ns and every multiple of ORBIT_CHUNK below max(ns), one
     product_batch call per piece, whose renormalized last step gives log ||M_n||.  A row is
     bit-identical to its n alone when every smaller n in ns is a multiple of ORBIT_CHUNK,
-    and its products are then those of one product_batch call over the n steps.  Inside
-    _phase_workers(k) the phases are cut into k contiguous ranges, one per worker of
-    _fork_map; a lane rounds alike in any product_batch call, so u does not depend on k.
+    and its products are then those of one product_batch call over the n steps.  The
+    phases are cut once, into equal tiles of at most PHASE_TILE phases, as many as the
+    smallest multiple of the worker count k that keeps them that small; _fork_map deals
+    the tiles out in k contiguous blocks.  A lane rounds alike in any product_batch call,
+    so u does not depend on k.
     """
     if not len(ns) or min(ns) < 1:
         raise ValueError(f"n must be >= 1, got {list(ns)}")
     ends = sorted({*range(ORBIT_CHUNK, max(ns), ORBIT_CHUNK), *ns})
-    k = max(1, min(_workers, len(phases)))
-    cuts = [len(phases) * i // k for i in range(k + 1)]
-    parts = _fork_map(lambda c: _u_tiles(s, z, ns, ends, phases[c[0] : c[1]]), zip(cuts, cuts[1:]), k)
-    return parts[0] if k == 1 else np.concatenate(parts, axis=-1)
+    k = min(_workers, len(phases))  # a SamplingConfig gives S >= 1
+    tiles = np.array_split(phases, k * -(-len(phases) // (k * PHASE_TILE)))
+    return np.concatenate(_fork_map(lambda tile: _u_tile(s, z, ns, ends, tile), tiles, k), axis=-1)
 
 
-def _u_tiles(s: VerblunskyScheme, z, ns, ends: list, phases: np.ndarray) -> np.ndarray:
-    """_u_values over the phases in tiles of PHASE_TILE, each streamed through the cuts `ends`."""
-    u = np.empty((len(ns),) + np.shape(z) + (len(phases),))
-    for p0 in range(0, len(phases), PHASE_TILE):
-        tile, carry = phases[p0 : p0 + PHASE_TILE], None
-        for j0, end in zip([0, *ends], ends):
-            carry = product_batch(verblunsky_orbit_batch(s, end - j0, tile, start=j0), z, carry=carry)
-            if end in ns:
-                u[np.equal(ns, end), ..., p0 : p0 + PHASE_TILE] = carry[0] / end
+def _u_tile(s: VerblunskyScheme, z, ns, ends: list, tile: np.ndarray) -> np.ndarray:
+    """_u_values over one tile of phases, streamed through the orbit cuts `ends`."""
+    u, carry = np.empty((len(ns),) + np.shape(z) + (len(tile),)), None
+    for j0, end in zip([0, *ends], ends):
+        carry = product_batch(verblunsky_orbit_batch(s, end - j0, tile, start=j0), z, carry=carry)
+        if end in ns:
+            u[np.equal(ns, end)] = carry[0] / end
     return u
 
 

@@ -336,8 +336,10 @@ def skew_shift_orbit(p: Phase, w: Frequency, n: int) -> list:
 
 
 def _integer(name: str, value) -> int:
-    """value as a Python int; ValueError naming the field for anything that is not an integer."""
+    """value as a Python int; ValueError naming the field for a boolean or anything that is not an integer."""
     try:
+        if isinstance(value, bool):  # operator.index reads True as 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -398,12 +400,14 @@ def diophantine_margin(w: Frequency, eps: float, N: int) -> DiophantineCertifica
     """Exact brute-force scan of ||n w|| n (1 + log n)^2 for n = 1..N.
 
     ||t|| denotes distance to the nearest integer.  No continued-fraction
-    shortcut: N is desk-scale (up to ~1e6) and exactness beats cleverness.
+    shortcut: N is desk-scale (up to ~1e6) and exactness beats cleverness.  n w mod 1 is
+    the y-coordinate of the orbit of (0, 0), the same exact uint64 product that _orbit takes.
     """
+    N = _integer("horizon", N)
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    n = np.arange(1, N + 1, dtype=np.int64)
-    _, frac = _orbit(0.0, 0.0, w.omega, n)
+    n = np.arange(1, N + 1, dtype=np.uint64)
+    frac = _mod1((n * _fixed(w.omega)).astype(float) * 2.0**-64)
     dist = np.minimum(frac, 1.0 - frac)
     vals = dist * n * (1.0 + np.log(n)) ** 2
     i = int(np.argmin(vals))

@@ -489,6 +489,28 @@ class TestEntryPoint:
             monkeypatch.setenv("CMV_THREADS", env)
         assert_exits_2(tmp_path, capsys, {"task": "dio-check"}, "--threads", argv=argv)
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["task", "sweep"])
+    @pytest.mark.parametrize("out, message", [("missing/x.csv", "does not exist"), ("outdir", "is a directory")])
+    def test_unwritable_out_path_exits_with_status_2_before_any_task_runs(
+        self, tmp_path, capsys, monkeypatch, out, message, sweep
+    ):
+        # the rows were computed in full, then the write raised FileNotFoundError (exit status 1)
+        (tmp_path / "outdir").mkdir()
+        ran = []
+        monkeypatch.setitem(TASKS, "dio-check", dataclasses.replace(TASKS["dio-check"], fn=lambda *a, **k: ran.append(a)))
+        doc = {"task": "dio-check"}
+        if sweep:
+            doc["sweep"] = {"axes": [{"parameter": "horizon", "values": [2, 3]}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        out_path = str(tmp_path / out)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(tmp_path / "cfg.json"), "--out", out_path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"output.path: {out_path!r}" in err and message in err
+        assert ran == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "outdir"]
+
     def test_console_invocation(self, tmp_path):
         out = tmp_path / "o.csv"
         r = subprocess.run(

@@ -9,7 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import compare_rows  # noqa: E402  (lives in tools/, next to the bench_pairs it imports)
-from skewcmv.cli import config_from_doc  # noqa: E402
+from skewcmv.cli import TASKS, config_from_doc  # noqa: E402
 
 
 def write_rows(path: Path, rows: list) -> Path:
@@ -61,11 +61,17 @@ def test_row_count_is_reported():
     assert r["rows"] == [2, 1] and r["identical"] is False
 
 
+def call_task(call) -> str:
+    """The task a CLI call runs: its task argument, which overrides its config's, else its config's."""
+    return call.args[0] if call.args and call.args[0] in TASKS else call.doc["task"]
+
+
 def test_tasks_group_covers_the_tasks_no_workload_runs():
-    calls = compare_rows.GROUPS["tasks"].calls(3)
-    assert [c.label for c in calls] == ["ldt", "multiscale", "uniform-bound", "positivity", "avalanche-cocycle",
-                                        "spectrum-nonunimodular", "avalanche-hyperbolic", "lyapunov-offcircle"]
     assert set(compare_rows.GROUPS) == set(compare_rows.workloads.WORKLOADS) | {"tasks"}
+    run = {call_task(call) for group in compare_rows.GROUPS.values() for call in group.calls(3)}
+    assert run == set(TASKS)
+    calls = compare_rows.GROUPS["tasks"].calls(3)
+    assert len({c.label for c in calls}) == len(calls)
     for call in calls:
         doc = json.loads(json.dumps(call.doc))
         doc["sampling"]["rng_seed"] = 3  # as the call's --seed sets it

@@ -10,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewcmv.cli import config_from_doc, run
+from skewcmv.cmv import BoundaryPair, assemble_window
 from skewcmv.cocycle import scaling_factor
+from skewcmv.localization import finite_size_drift
+from skewcmv.lyapunov import SamplingConfig
 from skewcmv.model import (
     DiophantineCertificate,
     Frequency,
@@ -277,6 +280,34 @@ class TestOrbitKernel:
             with pytest.raises(ValueError, match="integer"):
                 call()
 
+    def test_boolean_or_fractional_size_or_site_raises(self):
+        # int() truncated (0.5, 10.9) to the window [0, 10], and int() and operator.index read True as 1
+        s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.9, 0.3183098861)
+        phases, bc = [[s.base.x, s.base.y]], BoundaryPair(1.0, 1.0)
+        calls = (
+            (lambda: verblunsky_range(s, True, 3), "lo"),
+            (lambda: verblunsky_orbit_batch(s, True, phases), "n"),
+            (lambda: verblunsky_orbit_batch(s, 8, phases, start=False), "start"),
+            (lambda: assemble_window(s, (0.5, 10.9), bc), "interval[0]"),
+            (lambda: assemble_window(s, (True, 10), bc), "interval[0]"),
+            (lambda: assemble_window(s, (0, 10.0), bc), "interval[1]"),
+            (lambda: finite_size_drift(s, [64, 96.5], bc), "sizes[1]"),
+            (lambda: finite_size_drift(s, [True], bc), "sizes[0]"),
+        )
+        for call, field in calls:
+            with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer")):
+                call()
+
+    def test_numpy_integer_sizes_and_sites_pass(self):
+        s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.9, 0.3183098861)
+        bc = BoundaryPair(1.0, -1.0)
+        assert np.array_equal(verblunsky_range(s, np.int64(-2), np.int32(5)), verblunsky_range(s, -2, 5))
+        w = assemble_window(s, (np.int64(3), np.uint16(12)), bc)
+        assert (w.a, w.b) == (3, 12) and type(w.a) is int
+        assert np.array_equal(w.matrix, assemble_window(s, (3, 12), bc).matrix)
+        rows = finite_size_drift(s, [np.int32(64)], bc, SamplingConfig(mode="grid", grid_side=2))
+        assert rows == finite_size_drift(s, [64], bc, SamplingConfig(mode="grid", grid_side=2))
+
     def test_batch_stays_in_int64(self):
         # the stop 2^63 + 4 made np.arange return floats, cast back to -2^63 at every site
         s = make_scheme({(1, 0): 0.5, (0, 1): 0.5}, 0.9, 0.3183098861)
@@ -454,6 +485,21 @@ class TestDiophantine:
     def test_rationals_hit_zero_once_horizon_reaches_q(self, p, q):
         cert = diophantine_margin(Frequency(p / q), 0.0, q)
         assert cert.margin < 1e-9
+
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True])
+    def test_horizon_must_be_an_integer(self, horizon):
+        # 2.5 scanned n = 1..3 and reported horizon 2, and True scanned n = 1
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            diophantine_margin(Frequency(0.1), 0.1, horizon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(om=st.floats(0.0, 1.0, exclude_max=True), N=st.integers(1, 3000))
+    def test_scan_reads_n_omega_off_the_orbit_of_the_origin(self, om, N):
+        n = np.arange(1, N + 1)
+        frac = orbit_points(Phase(0.0, 0.0), Frequency(om), n)[:, 1]
+        vals = np.minimum(frac, 1.0 - frac) * n * (1.0 + np.log(n)) ** 2
+        cert = diophantine_margin(Frequency(om), 0.1, N)
+        assert (cert.margin, cert.worst_n) == (float(np.min(vals)), int(np.argmin(vals)) + 1)
 
 
 class TestSerialization:

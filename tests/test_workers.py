@@ -1,7 +1,7 @@
 """`--threads` runs on forked worker processes and changes speed only.
 
 A sweep whose cells each take one phase tile splits its cells over the workers;
-any other run splits each estimate's phases (lyapunov._u_values).  Rows must be
+any other run deals each estimate's phase tiles to them (lyapunov._u_values).  Rows must be
 byte-identical at every worker count, a failing cell must fail as it does at
 --threads 1, and no worker may outlive the call that started it.
 """
@@ -11,11 +11,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewcmv.cli
 import skewcmv.lyapunov
 from skewcmv.cli import ConfigError, main
-from skewcmv.lyapunov import _fork_map
+from skewcmv.lyapunov import PHASE_TILE, _fork_map, _phase_workers, _u_values
+from schemes import make_scheme
 
 SCHEME_DOC = {
     "coefficients": [[1, 0, 0.5, 0.0], [0, 1, 0.3, 0.2]],
@@ -25,7 +28,7 @@ SCHEME_DOC = {
     "base_y": 0.2,
 }
 GRID = {"mode": "grid", "grid_side": 6}
-# 1500 phases: one whole tile and a partial one
+# 1500 phases: more than one tile, and not a multiple of PHASE_TILE
 MC_1500 = {"mode": "monte-carlo", "sample_count": 1500, "rng_seed": 4}
 
 
@@ -53,7 +56,7 @@ CASES = {
     "multiscale": ({"n": 6, "N": 40, "z": [0.8, 0.1]}, GRID),
     # uniform-bound samples its own 40 x 40 grid: two tiles
     "uniform-bound": ({"n0": 10, "N": 70, "grid_side": 40}, None),
-    # 36 phases: fewer tiles than workers, each worker takes part of one tile
+    # 36 phases: one small tile per worker
     "positivity": ({"n": 70, "z": [0.6, 0.8]}, GRID),
     "localize": ({"size": 64}, GRID),
 }
@@ -140,7 +143,7 @@ def test_a_config_error_in_a_worker_exits_with_status_2(tmp_path, capsys, thread
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_failing_phase_range_raises_as_at_one_thread(tmp_path, monkeypatch, threads):
-    # only the phases with x > 0.9 fail; at 2 threads they are the worker's range
+    # only the phases with x > 0.9 fail; at 2 threads they lie in the worker's tile
     orbit = skewcmv.lyapunov.verblunsky_orbit_batch
 
     def failing(s, n, phases, start=0):
@@ -153,6 +156,32 @@ def test_a_failing_phase_range_raises_as_at_one_thread(tmp_path, monkeypatch, th
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"^phase x > 0\.9$"):
         main(["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o.csv"), "--threads", str(threads)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(S=st.integers(1, 3 * PHASE_TILE + 1), k=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_u_values_cuts_its_phases_once_into_equal_tiles(S, k, seed):
+    s = make_scheme({(1, 0): 0.5, (0, 1): 0.3 + 0.2j}, 0.9, 0.6180339887498949, base=(0.1, 0.2))
+    phases = np.random.default_rng(seed).random((S, 2))
+    z, ns = np.array([0.6 + 0.8j, 1.2 + 0.3j]), [3, 5]
+    serial = _u_values(s, z, ns, phases)
+    dealt = []
+
+    def recorded(fn, items, workers):
+        items = list(items)
+        dealt.append((items, workers))
+        return _fork_map(fn, items, workers)
+
+    with pytest.MonkeyPatch.context() as mp, _phase_workers(k):
+        mp.setattr(skewcmv.lyapunov, "_fork_map", recorded)
+        assert _u_values(s, z, ns, phases).tobytes() == serial.tobytes()
+    [(tiles, workers)] = dealt
+    sizes = [len(tile) for tile in tiles]
+    assert workers == min(k, S)
+    assert max(sizes) <= PHASE_TILE and max(sizes) - min(sizes) <= 1
+    # a multiple of the workers, and one block of them fewer would hold too many phases
+    assert len(tiles) % workers == 0 and S > (len(tiles) - workers) * PHASE_TILE
+    assert np.array_equal(np.concatenate(tiles), phases)
 
 
 def test_off_linux_the_workers_run_in_this_process(tmp_path, monkeypatch):

@@ -54,6 +54,8 @@ def _task_calls(case: int) -> list:
         # z on and off the unit circle: every other call takes z on it, so only this one runs
         # product_batch's lanes with both columns (k = 2)
         ("lyapunov-offcircle", "lyapunov", {"z_list": [1.0, 1.3, [0.0, -0.7], [0.6, 0.8]]}, plan),
+        # the scheme's omega, scanned to n = 10**6
+        ("dio-check", "dio-check", {"horizon": 10**6}, {}),
     )
     return [
         workloads.Call(label, ("--seed", str(case)),
