@@ -515,8 +515,9 @@ _MAX_SITES = 8192
 # phases, so this caps time, not memory (about 6 s per z at n = 1000 and 256**2 phases)
 _MAX_GRID_SIDE = 256
 _MAX_SAMPLES = _MAX_GRID_SIDE**2
-# the longest Diophantine scan: its arrays take about 40 bytes per n, and a run at 10**7
-# peaks at 418 MiB child ru_maxrss (37 MiB at horizon 1)
+# the longest Diophantine scan: diophantine_margin scans in fixed chunks of n, so this caps
+# time, not memory (about 0.1 s in process at 10**7; the run peaks at 41 MiB child
+# ru_maxrss, against 37 MiB at horizon 1)
 _MAX_HORIZON = 10**7
 # avalanche's cocycle mode takes count * block <= _MAX_AVALANCHE_STEPS coefficients, at most
 # _AVALANCHE_GROUP of them at once (or one block), and holds the count blocks, 64 bytes each:
@@ -576,8 +577,8 @@ TASKS = {
         Param("omega"), Param("epsilon", default=0.1), Param("horizon", int, 10000, lo=1, hi=_MAX_HORIZON),
     )),
     "detform-check": Task(_task_detform_check, False, (
-        Param("instances", int, 100, lo=1), Param("n_min", int, 2, lo=2),
-        Param("n_max", int, 12, lo=lambda v: v["n_min"]), _TOLERANCE,
+        Param("instances", int, 100, lo=1), Param("n_min", int, 2, lo=2, hi=_MAX_SITES),
+        Param("n_max", int, 12, lo=lambda v: v["n_min"], hi=_MAX_SITES), _TOLERANCE,
     )),
 }
 

@@ -191,31 +191,30 @@ def _fork_child(fn, items: list, w: int) -> None:
 def _u_values(s: VerblunskyScheme, z, ns, phases: np.ndarray) -> np.ndarray:
     """(1/n) log ||M_n|| per (n in ns, z, phase) from one pass: shape (len(ns),) + shape(z) + (S,).
 
-    The orbit is cut at every n in ns and every multiple of ORBIT_CHUNK below max(ns), one
-    product_batch call per piece, whose renormalized last step gives log ||M_n||.  A row is
-    bit-identical to its n alone when every smaller n in ns is a multiple of ORBIT_CHUNK,
-    and its products are then those of one product_batch call over the n steps.  The
-    phases are cut once, into equal tiles of at most PHASE_TILE phases, as many as the
-    smallest multiple of the worker count k that keeps them that small; _fork_map deals
-    the tiles out in k contiguous blocks.  A lane rounds alike in any product_batch call,
-    so u does not depend on k.
+    Each tile of phases walks its orbit once, through the distinct n in ns in ascending
+    order, cutting at the nearer of the next n and the next multiple of ORBIT_CHUNK as it
+    reaches it, so nothing beyond the output grows with n.  Each piece is one product_batch
+    call, whose renormalized last step gives log ||M_n||; a row is bit-identical to its n
+    alone when every smaller n in ns is a multiple of ORBIT_CHUNK.  The phases are cut into
+    equal tiles of at most PHASE_TILE, as many as the smallest multiple of the worker count
+    k that allows, dealt out by _fork_map in k contiguous blocks; u does not depend on k.
     """
     if not len(ns) or min(ns) < 1:
         raise ValueError(f"n must be >= 1, got {list(ns)}")
-    ends = sorted({*range(ORBIT_CHUNK, max(ns), ORBIT_CHUNK), *ns})
+
+    def walk(tile):
+        u, carry, j0 = np.empty((len(ns),) + np.shape(z) + (len(tile),)), None, 0
+        for n in sorted(set(ns)):
+            while j0 < n:
+                end = min(n, (j0 // ORBIT_CHUNK + 1) * ORBIT_CHUNK)
+                carry = product_batch(verblunsky_orbit_batch(s, end - j0, tile, start=j0), z, carry=carry)
+                j0 = end
+            u[np.equal(ns, n)] = carry[0] / n
+        return u
+
     k = min(_workers, len(phases))  # a SamplingConfig gives S >= 1
     tiles = np.array_split(phases, k * -(-len(phases) // (k * PHASE_TILE)))
-    return np.concatenate(_fork_map(lambda tile: _u_tile(s, z, ns, ends, tile), tiles, k), axis=-1)
-
-
-def _u_tile(s: VerblunskyScheme, z, ns, ends: list, tile: np.ndarray) -> np.ndarray:
-    """_u_values over one tile of phases, streamed through the orbit cuts `ends`."""
-    u, carry = np.empty((len(ns),) + np.shape(z) + (len(tile),)), None
-    for j0, end in zip([0, *ends], ends):
-        carry = product_batch(verblunsky_orbit_batch(s, end - j0, tile, start=j0), z, carry=carry)
-        if end in ns:
-            u[np.equal(ns, end)] = carry[0] / end
-    return u
+    return np.concatenate(_fork_map(walk, tiles, k), axis=-1)
 
 
 def _estimate(n: int, z, u: np.ndarray, cfg: SamplingConfig) -> LyapunovEstimate:

@@ -381,6 +381,10 @@ def verblunsky_orbit_batch(
     return _coefficients(s, phases[:, 0], phases[:, 1], _site_range(start, start + _integer("n", n) - 1))
 
 
+# values of n that diophantine_margin scans at once: its arrays take about 40 bytes per n
+_DIO_CHUNK = 2**16
+
+
 @dataclass(frozen=True)
 class DiophantineCertificate:
     """Result of the brute-force scan min_{1<=n<=N} ||n w|| n (1 + log n)^2."""
@@ -400,18 +404,23 @@ def diophantine_margin(w: Frequency, eps: float, N: int) -> DiophantineCertifica
     """Exact brute-force scan of ||n w|| n (1 + log n)^2 for n = 1..N.
 
     ||t|| denotes distance to the nearest integer.  No continued-fraction
-    shortcut: N is desk-scale (up to ~1e6) and exactness beats cleverness.  n w mod 1 is
-    the y-coordinate of the orbit of (0, 0), the same exact uint64 product that _orbit takes.
+    shortcut: N is desk-scale and exactness beats cleverness.  n w mod 1 is the
+    y-coordinate of the orbit of (0, 0), the same exact uint64 product that _orbit takes.
+    The scan takes _DIO_CHUNK values of n at a time and keeps the running minimum, the
+    first n on a tie, so its memory does not grow with N.
     """
     N = _integer("horizon", N)
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    n = np.arange(1, N + 1, dtype=np.uint64)
-    frac = _mod1((n * _fixed(w.omega)).astype(float) * 2.0**-64)
-    dist = np.minimum(frac, 1.0 - frac)
-    vals = dist * n * (1.0 + np.log(n)) ** 2
-    i = int(np.argmin(vals))
-    return DiophantineCertificate(w, float(eps), int(N), float(vals[i]), int(n[i]))
+    best, step = (np.inf, 0), _fixed(w.omega)
+    for a in range(1, N + 1, _DIO_CHUNK):
+        n = np.arange(a, min(a + _DIO_CHUNK, N + 1), dtype=np.uint64)
+        frac = _mod1((n * step).astype(float) * 2.0**-64)
+        dist = np.minimum(frac, 1.0 - frac)
+        vals = dist * n * (1.0 + np.log(n)) ** 2
+        i = int(np.argmin(vals))
+        best = min(best, (float(vals[i]), int(n[i])))
+    return DiophantineCertificate(w, float(eps), int(N), *best)
 
 
 # --- serialization ----------------------------------------------------------

@@ -150,7 +150,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "task, section, key",
         [("lyapunov", "sampling", "grid_side"), ("lyapunov", "sampling", "sample_count"),
-         ("uniform-bound", "params", "grid_side"), ("dio-check", "params", "horizon")],
+         ("uniform-bound", "params", "grid_side"), ("dio-check", "params", "horizon"),
+         ("detform-check", "params", "n_max")],
     )
     def test_size_above_its_cap_exits_with_status_2(self, tmp_path, capsys, task, section, key):
         doc = base_doc(task)

@@ -113,6 +113,18 @@ class TestEntryFormula:
         for (j, k) in [(1, 1), (1, 12), (3, 9), (5, 5)]:
             assert green_entry_via_polys(w, j, k, z) == pytest.approx(abs(g.entry(j, k)), rel=1e-8)
 
+    def test_swapped_indices_give_the_same_entry(self):
+        # j > k is swapped before the sub-windows are read: the (k, j) call is the (j, k) one
+        rng = np.random.default_rng(8)
+        s = random_scheme(rng)
+        w = assemble_window(s, (2, 13), random_bc(rng))
+        z = oncircle_z(rng, np.linalg.eigvals(w.matrix))
+        g = green_matrix(w, z)
+        for (j, k) in [(2, 13), (4, 9), (6, 7)]:
+            swapped = green_entry_via_polys(w, k, j, z)
+            assert swapped == green_entry_via_polys(w, j, k, z)
+            assert swapped == pytest.approx(abs(g.entry(j, k)), rel=1e-8)
+
     def test_spectral_point_rejected(self):
         # beta = -1 puts z = 1 exactly in the free window's spectrum, so det(z - E) is exactly 0
         w = assemble_window(make_scheme({(1, 0): 0.5}, 0.0, 0.3), (0, 7), BoundaryPair(-1.0, 1.0))

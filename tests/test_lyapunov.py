@@ -170,6 +170,31 @@ class TestStreaming:
         long = self.peak_bytes(2 * ORBIT_CHUNK, samples=8 * PHASE_TILE)
         assert long <= 1.25 * short, (short, long)
 
+    def test_walk_makes_each_cut_when_it_reaches_it(self, monkeypatch):
+        # both kernels stubbed: what is left is the walk's own working set, which must not
+        # hold the orbit's cuts (2**17 of them at n = 2**23) at any one time
+        n, ns = 2**23, (1000, 2**23, 1000, 3 * ORBIT_CHUNK)
+        starts, lengths, count = np.empty(n // ORBIT_CHUNK + 8, int), np.empty(n // ORBIT_CHUNK + 8, int), [0]
+
+        def orbit(s, steps, tile, start):
+            starts[count[0]], lengths[count[0]] = start, steps
+            count[0] += 1
+            return start + steps
+
+        monkeypatch.setattr(lyapunov, "verblunsky_orbit_batch", orbit)
+        monkeypatch.setattr(lyapunov, "product_batch", lambda end, z, carry: (np.full(1, float(end)),))
+        tracemalloc.start()
+        try:
+            u = _u_values(make_scheme(TRIG, 0.9, 0.618), 1.0, ns, np.array([[0.1, 0.2]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = sorted({*range(0, n, ORBIT_CHUNK), *(m for m in ns if m < n)})
+        assert starts[: count[0]].tolist() == want
+        assert (starts[: count[0]] + lengths[: count[0]]).tolist() == want[1:] + [n]
+        assert np.array_equal(u, np.ones((len(ns), 1)))
+        assert peak < 0.1 * 2**20, peak
+
     def test_long_orbit_runs(self):
         s = make_scheme(TRIG, 0.9, 0.618)
         est = estimate_Ln(s, 1.0, 100_000, SamplingConfig(mode="monte-carlo", sample_count=16))

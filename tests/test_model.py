@@ -3,12 +3,14 @@ import json
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skewcmv import model
 from skewcmv.cli import config_from_doc, run
 from skewcmv.cmv import BoundaryPair, assemble_window
 from skewcmv.cocycle import scaling_factor
@@ -500,6 +502,33 @@ class TestDiophantine:
         vals = np.minimum(frac, 1.0 - frac) * n * (1.0 + np.log(n)) ** 2
         cert = diophantine_margin(Frequency(om), 0.1, N)
         assert (cert.margin, cert.worst_n) == (float(np.min(vals)), int(np.argmin(vals)) + 1)
+
+    @staticmethod
+    def one_array_scan(om: float, N: int) -> tuple:
+        """The scan over all of n = 1..N in one array, as diophantine_margin took it before it chunked."""
+        n = np.arange(1, N + 1, dtype=np.uint64)
+        frac = model._mod1((n * model._fixed(Frequency(om).omega)).astype(float) * 2.0**-64)
+        vals = np.minimum(frac, 1.0 - frac) * n * (1.0 + np.log(n)) ** 2
+        return float(np.min(vals)), int(np.argmin(vals)) + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        om=st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.builds(lambda p, q, e: p / q + e, st.integers(0, 40), st.integers(1, 41), st.floats(-1e-7, 1e-7)),
+            # exact binary rationals: every multiple of the denominator ties at 0, and the first must win
+            st.sampled_from([0.0, 0.5, 0.25, 0.75]),
+        ),
+        chunk=st.integers(1, 70),
+        N=st.integers(1, 600),
+    )
+    @example(om=777777 / 7654321, chunk=None, N=3 * model._DIO_CHUNK + 5)
+    @example(om=1 / 3 + 1e-7, chunk=None, N=2 * model._DIO_CHUNK)
+    @example(om=0.5, chunk=None, N=model._DIO_CHUNK + 1)
+    def test_chunked_scan_equals_the_one_array_scan(self, om, chunk, N):
+        with mock.patch.object(model, "_DIO_CHUNK", chunk or model._DIO_CHUNK):
+            cert = diophantine_margin(Frequency(om), 0.1, N)
+        assert (cert.margin, cert.worst_n) == self.one_array_scan(om, N)
 
 
 class TestSerialization:

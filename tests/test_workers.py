@@ -86,8 +86,9 @@ def test_sweep_rows_are_byte_identical_at_any_thread_count(tmp_path, plan):
         assert cli_rows(tmp_path, doc, threads) == one
 
 
-@pytest.mark.parametrize("plan, cell_workers, phase_workers", [(GRID, 3, 1), (MC_1500, 1, 3)])
-def test_a_sweep_splits_its_cells_or_their_phases_never_both(monkeypatch, plan, cell_workers, phase_workers):
+def assert_sweep_splits(monkeypatch, doc, cell_workers, phase_workers):
+    """A 3-thread sweep of `doc` hands its cells to `cell_workers` workers, and each estimate's
+    phases to `phase_workers`; None means no estimate reaches the phase map."""
     calls = {"cells": [], "phases": []}
 
     def recorded(kind, fork_map):
@@ -95,12 +96,41 @@ def test_a_sweep_splits_its_cells_or_their_phases_never_both(monkeypatch, plan, 
 
     monkeypatch.setattr(skewcmv.cli, "_fork_map", recorded("cells", _fork_map))
     monkeypatch.setattr(skewcmv.lyapunov, "_fork_map", recorded("phases", _fork_map))
-    doc = {"task": "lyapunov", "scheme": SCHEME_DOC, "params": {"n": 10}, "sampling": plan,
-           "sweep": {"axes": [{"parameter": "lambda", "values": [0.3, 0.5, 0.7, 0.9]}]}}
     skewcmv.cli.run_sweep(doc, doc["sweep"]["axes"], threads=3)
     # this process runs the first block of cells, so it records that block's estimates
     assert calls["cells"] == [cell_workers]
-    assert calls["phases"] and set(calls["phases"]) == {phase_workers}
+    if phase_workers is None:
+        assert calls["phases"] == []
+    else:
+        assert calls["phases"] and set(calls["phases"]) == {phase_workers}
+
+
+LAMBDAS = {"parameter": "lambda", "values": [0.3, 0.5, 0.7, 0.9]}
+
+
+@pytest.mark.parametrize("plan, cell_workers, phase_workers", [(GRID, 3, 1), (MC_1500, 1, 3)])
+def test_a_sweep_splits_its_cells_or_their_phases_never_both(monkeypatch, plan, cell_workers, phase_workers):
+    doc = {"task": "lyapunov", "scheme": SCHEME_DOC, "params": {"n": 10}, "sampling": plan,
+           "sweep": {"axes": [LAMBDAS]}}
+    assert_sweep_splits(monkeypatch, doc, cell_workers, phase_workers)
+
+
+@pytest.mark.parametrize(
+    "doc, cell_workers, phase_workers",
+    [
+        # uniform-bound samples its own grid: 32**2 phases are one whole tile, 33**2 are more
+        ({"task": "uniform-bound", "scheme": SCHEME_DOC, "params": {"n0": 5, "N": 20, "grid_side": 32},
+          "sweep": {"axes": [LAMBDAS]}}, 3, 1),
+        ({"task": "uniform-bound", "scheme": SCHEME_DOC, "params": {"n0": 5, "N": 20, "grid_side": 33},
+          "sweep": {"axes": [LAMBDAS]}}, 1, 3),
+        # a task with no phases splits its cells and never reaches the phase map
+        ({"task": "dio-check", "params": {"omega": 0.3, "horizon": 100},
+          "sweep": {"axes": [{"parameter": "epsilon", "values": [0.1, 0.2, 0.3, 0.4]}]}}, 3, None),
+    ],
+    ids=["uniform-bound one tile", "uniform-bound two tiles", "dio-check"],
+)
+def test_a_sweep_counts_the_phases_a_task_takes(monkeypatch, doc, cell_workers, phase_workers):
+    assert_sweep_splits(monkeypatch, doc, cell_workers, phase_workers)
 
 
 def run_failing_sweep(tmp_path, monkeypatch, threads) -> str:
